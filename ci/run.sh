@@ -45,4 +45,9 @@ ci/serve_smoke.sh
 step "replication smoke (primary + 2 replicas, kill -9, point-in-time restore)"
 ci/replication_smoke.sh
 
+step "secbench smoke (every benchmark workload briefly, untraced and traced)"
+# secbench drives the server, the wire codec, the snapshot path and Encdb;
+# this keeps a refactor of those from silently breaking the benchmark
+python3 secbench/smoke_test.py
+
 step "CI gate passed"

@@ -42,9 +42,4 @@ let decrypt t ~nonce ~ad ~tag c =
   (match r with Error Invalid -> Metrics.incr m_auth_failures | Ok _ -> ());
   r
 
-let decrypt_exn t ~nonce ~ad ~tag c =
-  match decrypt t ~nonce ~ad ~tag c with
-  | Ok m -> m
-  | Error Invalid -> failwith (t.name ^ ": AEAD decryption failed (invalid)")
-
 let stored_overhead t = t.nonce_size + t.tag_size + t.expansion

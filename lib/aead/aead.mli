@@ -31,9 +31,6 @@ type t = {
 val encrypt : t -> nonce:string -> ad:string -> string -> string * string
 val decrypt : t -> nonce:string -> ad:string -> tag:string -> string -> (string, invalid) result
 
-val decrypt_exn : t -> nonce:string -> ad:string -> tag:string -> string -> string
-(** @raise Failure on invalid input. *)
-
 val stored_overhead : t -> int
 (** Bytes of storage added per encrypted value: nonce + tag + expansion.
     This is the paper's Section 4 "storage overhead" figure (32 octets for

@@ -34,7 +34,5 @@ let decrypt_into t =
   | Some f -> f
   | None -> generic_into t.block_size t.decrypt
 
-let has_fast_path t = t.encrypt_into <> None
-
 let zero_block t = String.make t.block_size '\000'
 let map_name f t = { t with name = f t.name }

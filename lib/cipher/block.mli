@@ -49,9 +49,6 @@ val encrypt_into : t -> into
 
 val decrypt_into : t -> into
 
-val has_fast_path : t -> bool
-(** True iff [encrypt_into] is native rather than the generic fallback. *)
-
 val zero_block : t -> string
 (** A block of zero bytes. *)
 

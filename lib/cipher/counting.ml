@@ -35,8 +35,3 @@ let count_enc c f =
   let wrapped, counters = wrap c in
   let r = f wrapped in
   (counters.enc_calls, r)
-
-let count_all c f =
-  let wrapped, counters = wrap c in
-  let r = f wrapped in
-  (total counters, r)

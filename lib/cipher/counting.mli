@@ -18,6 +18,3 @@ val count_enc : Block.t -> (Block.t -> 'a) -> int * 'a
 (** [count_enc c f] runs [f] with an instrumented copy of [c] and returns
     the number of single-block encryptions it performed together with [f]'s
     result. *)
-
-val count_all : Block.t -> (Block.t -> 'a) -> int * 'a
-(** Like {!count_enc} but counts encryptions plus decryptions. *)

@@ -44,15 +44,6 @@ val all_profiles : profile list
 
 type t
 
-(** Where index entries live.  [Memory] is the historical heap tree;
-    [Paged] puts every index of this database into one
-    {!Secdb_storage.Paged_bptree} file at [path] — nodes AEAD-sealed with
-    their page address as associated data, an LRU of [cache_nodes]
-    decoded nodes per index, datasets bounded by disk instead of RAM. *)
-type index_backing =
-  | Memory
-  | Paged of { path : string; page_size : int; cache_nodes : int }
-
 (** One applied mutation, as observed through {!set_on_change} — enough
     to replay the database's logical state (the serving layer folds these
     into lock-free read snapshots). *)
@@ -69,7 +60,6 @@ type change =
 val create :
   ?seed:int64 ->
   ?order:int ->
-  ?index_backing:index_backing ->
   ?first_table_id:int ->
   ?first_index_id:int ->
   master:string ->
@@ -78,10 +68,9 @@ val create :
   t
 (** [seed] drives every pseudo-random choice (nonces, the random numbers a)
     for reproducibility; [order] is the B⁺-tree order (default 4).
-    [index_backing] defaults to [Memory].  [first_table_id] /
-    [first_index_id] start the id counters (defaults 1 and 1000) — shards
-    of one logical database use disjoint ranges so derived keys and
-    ciphertext addresses never collide across shards. *)
+    [first_table_id] / [first_index_id] start the id counters (defaults 1
+    and 1000) — shards of one logical database use disjoint ranges so
+    derived keys and ciphertext addresses never collide across shards. *)
 
 val set_on_change : t -> (change -> unit) option -> unit
 (** Install (or clear) a hook fired after every successful mutation, in
@@ -117,12 +106,12 @@ val create_index : t -> table:string -> col:string -> unit
     existing rows.  Later {!insert}s maintain it. *)
 
 val has_index : t -> table:string -> col:string -> bool
-(** Whether the column has an index under either backing — what the SQL
+(** Whether the column has an exact (B⁺-tree) index — what the SQL
     planner consults. *)
 
 val index : t -> table:string -> col:string -> Secdb_index.Bptree.t
-(** The in-memory tree behind a [Memory]-backed index.
-    @raise Not_found if no such index exists or it is paged. *)
+(** The in-memory tree behind the column's index.
+    @raise Not_found if no such index exists. *)
 
 val index_selectivity :
   t ->
@@ -158,10 +147,6 @@ val has_range_index : t -> table:string -> col:string -> bool
 val range_index_nbuckets : t -> table:string -> col:string -> int option
 (** Bucket count of the column's range index — the planner's leakage/cost
     datum, surfaced by EXPLAIN. *)
-
-val range_index : t -> table:string -> col:string -> Secdb_index.Range_tree.t
-(** The structure itself, exposed for the attack bench and tests.
-    @raise Not_found if no range index exists. *)
 
 val select_range_bucketed :
   t ->
@@ -207,6 +192,10 @@ val load_paged :
   path:string ->
   unit ->
   (t, string) result
+(** Reopen a {!save_paged} file, with the same [seed] and key caveats as
+    {!load}.  A damaged file — no directory pointer page, a pointer to a
+    missing page, a malformed directory — returns [Error]; the file is
+    closed on every path. *)
 
 val digest : t -> string
 (** Constant-size Merkle anchor over the complete stored representation —

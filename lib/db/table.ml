@@ -30,9 +30,6 @@ let set t ~row ~col v =
 
 let row t r = Array.copy (Vec.get t.rows r)
 let address t ~row ~col = Address.v ~table:t.id ~row ~col
-let iter_rows f t = Vec.iteri f t.rows
-
-let iter_col ~col f t = Vec.iteri (fun r values -> f r values.(col)) t.rows
 
 let find_rows t pred =
   let acc = ref [] in

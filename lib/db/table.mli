@@ -22,9 +22,6 @@ val row : t -> int -> Value.t array
 
 val address : t -> row:int -> col:int -> Address.t
 
-val iter_rows : (int -> Value.t array -> unit) -> t -> unit
-val iter_col : col:int -> (int -> Value.t -> unit) -> t -> unit
-
 val find_rows : t -> (Value.t array -> bool) -> int list
 (** Full-scan selection returning row numbers. *)
 

@@ -63,8 +63,5 @@ let decode s =
     | 'y' -> Ok (Bytes body)
     | _ -> Error "Value.decode: unknown tag"
 
-let decode_exn s =
-  match decode s with Ok v -> v | Error e -> invalid_arg e
-
 let text_exn = function Text s -> s | v -> invalid_arg ("Value.text_exn: " ^ to_string v)
 let int_exn = function Int i -> i | v -> invalid_arg ("Value.int_exn: " ^ to_string v)

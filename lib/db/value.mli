@@ -27,8 +27,6 @@ val encode : t -> string
 val decode : string -> (t, string) result
 (** Inverse of {!encode}; rejects trailing garbage. *)
 
-val decode_exn : string -> t
-
 val text_exn : t -> string
 (** @raise Invalid_argument if not [Text]. *)
 

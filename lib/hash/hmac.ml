@@ -67,10 +67,6 @@ let mac_keyed k msg = mac_keyed_parts k [ msg ]
 
 let mac_keyed_truncated k ~bytes msg = Secdb_util.Xbytes.take bytes (mac_keyed k msg)
 
-let verify_keyed k ~tag msg =
-  let computed = Secdb_util.Xbytes.take (String.length tag) (mac_keyed k msg) in
-  Secdb_util.Xbytes.constant_time_equal computed tag
-
 let mac h ~key msg = mac_keyed (keyed h ~key) msg
 
 let mac_truncated h ~key ~bytes msg = Secdb_util.Xbytes.take bytes (mac h ~key msg)

@@ -39,5 +39,3 @@ val mac_keyed_parts : keyed -> string list -> string
     fields directly. *)
 
 val mac_keyed_truncated : keyed -> bytes:int -> string -> string
-
-val verify_keyed : keyed -> tag:string -> string -> bool

@@ -4,8 +4,6 @@ module Obs = Secdb_obs.Obs
 module Rng = Secdb_util.Rng
 module Xbytes = Secdb_util.Xbytes
 module Pool = Secdb_util.Pool
-module Etable = Secdb_query.Encrypted_table
-module Schema = Secdb_db.Schema
 module Shard = Secdb_db.Shard
 module Ast = Secdb_sql.Ast
 module Parser = Secdb_sql.Parser
@@ -50,11 +48,6 @@ let op_names =
     "ping";
     "stats";
     "sql";
-    "put_cell";
-    "get_cell";
-    "insert_row";
-    "decrypt_column";
-    "index_lookup";
     "repl_pull";
     "repl_root";
   ]
@@ -147,32 +140,6 @@ let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
         match Secdb_sql.Engine.exec db stmt with
         | Ok o -> Ok (Wire.Outcome o)
         | Error e -> Error (Wire.App, e))
-    | Wire.Put_cell { table; row; col; value } -> (
-        match Secdb.Encdb.update db ~table ~row ~col value with
-        | Ok () -> Ok Wire.Updated
-        | Error e -> Error (Wire.App, e))
-    | Wire.Get_cell { table; row; col } -> (
-        let tbl = Secdb.Encdb.table db table in
-        let col_id = Schema.col_index (Etable.schema tbl) col in
-        match Etable.get tbl ~row ~col:col_id with
-        | Ok v -> Ok (Wire.Cell_value v)
-        | Error e -> Error (Wire.App, e))
-    | Wire.Insert_row { table; values } -> Ok (Wire.Row_id (Secdb.Encdb.insert db ~table values))
-    | Wire.Decrypt_column { table; col } ->
-        let tbl = Secdb.Encdb.table db table in
-        let col_id = Schema.col_index (Etable.schema tbl) col in
-        let cells = Etable.decrypt_column tbl ~col:col_id in
-        Ok
-          (Wire.Column
-             (Array.to_list cells
-             |> List.map (function
-                  | None -> Wire.Tombstone
-                  | Some (Ok v) -> Wire.Cell v
-                  | Some (Error e) -> Wire.Cell_error e)))
-    | Wire.Index_lookup { table; col; value } -> (
-        match Secdb.Encdb.select_eq db ~table ~col value with
-        | Ok rows -> Ok (Wire.Rows (List.map (fun (r, vs) -> (r, Array.to_list vs)) rows))
-        | Error e -> Error (Wire.App, e))
     (* replication requests need the serving layer's role and shard map;
        the single-db reference dispatch has neither *)
     | Wire.Repl_pull _ -> Error (Wire.App, "replication pull needs a serving primary")
@@ -187,8 +154,8 @@ let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
 (* --- shards -------------------------------------------------------------------
 
    Every table lives in exactly one shard ({!Shard.key_shard} over its
-   name), and each shard owns a full {!Secdb.Encdb.t} — tables, indexes,
-   pager — plus one executor domain.  Connection readers route a request
+   name), and each shard owns a full {!Secdb.Encdb.t} — tables and
+   indexes — plus one executor domain.  Connection readers route a request
    to its shard and hand the dispatch to that executor, so requests on
    different shards run in true parallel while a shard's own requests
    stay serialised (which is what keeps pipelined results byte-identical
@@ -407,9 +374,9 @@ let read_only_reject = Error (Wire.App, "read-only replica: mutations go to the 
 (* Route one request.  Ping and Stats touch no table — answered inline.
    SQL parses once: the statement names its table, the table names its
    shard; a point SELECT is tried against the shard's published snapshot
-   first (lock-free), everything else rides the shard's executor.  The
-   remaining request forms carry their table explicitly.  On a replica
-   every mutating form is rejected before it reaches a shard. *)
+   first (lock-free), everything else rides the shard's executor.  On a
+   replica every mutating statement is rejected before it reaches a
+   shard. *)
 let exec_routed t (req : Wire.req) =
   let shard_of table = Shard.get t.shards (Shard.key_shard t.shards table) in
   let submit sh req = submit ~on_changes:(log_changes t) sh req in
@@ -475,13 +442,6 @@ let exec_routed t (req : Wire.req) =
               | None ->
                   (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
                   submit sh req)))
-  | (Wire.Put_cell _ | Wire.Insert_row _) when is_replica t -> read_only_reject
-  | Wire.Put_cell { table; _ }
-  | Wire.Get_cell { table; _ }
-  | Wire.Insert_row { table; _ }
-  | Wire.Decrypt_column { table; _ }
-  | Wire.Index_lookup { table; _ } ->
-      submit (shard_of table) req
 
 (* The replica's single write path: apply one pulled (already verified)
    op on the shard executor it routes to, exactly as the primary's own

@@ -51,11 +51,6 @@ type req =
   | Ping of string  (** echo *)
   | Stats of [ `Text | `Json ]  (** server-side metric registry dump *)
   | Sql of string  (** one SQL statement *)
-  | Put_cell of { table : string; row : int; col : string; value : Secdb_db.Value.t }
-  | Get_cell of { table : string; row : int; col : string }
-  | Insert_row of { table : string; values : Secdb_db.Value.t list }
-  | Decrypt_column of { table : string; col : string }
-  | Index_lookup of { table : string; col : string; value : Secdb_db.Value.t }
   | Repl_pull of { ack : int; max : int }
       (** replica → primary: "my durable prefix holds [ack] records; ship
           up to [max] more, sealed" — the ack doubles as the resume point,
@@ -67,20 +62,10 @@ type req =
 val op_name : req -> string
 (** Stable lowercase name, used as the metric label. *)
 
-type cell =
-  | Tombstone
-  | Cell of Secdb_db.Value.t
-  | Cell_error of string  (** integrity failure message for that cell *)
-
 type resp =
   | Pong of string
   | Stats_dump of string
   | Outcome of Secdb_sql.Engine.outcome
-  | Updated
-  | Cell_value of Secdb_db.Value.t
-  | Row_id of int
-  | Column of cell list
-  | Rows of (int * Secdb_db.Value.t list) list
   | Repl_records of { durable : int; records : (int * string) list }
       (** sealed oplog records (sequence number, raw bytes) in order,
           plus the primary's durable count so a replica can see its lag *)

@@ -169,8 +169,6 @@ let candidate_plans db (s : Ast.select) =
   | Ok r -> Planner.candidates db r.rs ~join:r.join
   | Error e -> failwith e
 
-let pp_plan = Plan.pp
-
 (* --- projection and aggregation ------------------------------------------ *)
 
 let is_aggregate = function Ast.Aggregate _ -> true | Ast.Field _ -> false

@@ -31,9 +31,6 @@ val candidate_plans : Secdb.Encdb.t -> Ast.select -> Plan.t list
     {!Plan.compare}'s deterministic tie-break; never empty.  Each element
     can be handed to {!exec_plan} and must return the same bytes. *)
 
-val pp_plan : Format.formatter -> Plan.t -> unit
-(** The text EXPLAIN prints ({!Plan.pp}). *)
-
 val exec_stmt :
   Secdb.Encdb.t -> ?mode:Secdb_query.Walker.mode -> Ast.stmt -> (outcome, string) result
 

@@ -283,7 +283,6 @@ let with_tokens input f =
       match f st with v -> finish st v | exception Syntax e -> Error e)
 
 let parse input = with_tokens input statement
-let parse_expr input = with_tokens input expr
 
 let parse_many input =
   match Lexer.tokens input with

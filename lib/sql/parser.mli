@@ -27,9 +27,6 @@
 val parse : string -> (Ast.stmt, string) result
 (** Parse one statement (an optional trailing [;] is accepted). *)
 
-val parse_expr : string -> (Ast.expr, string) result
-(** Parse a bare predicate (for tests). *)
-
 val parse_many : string -> (Ast.stmt list, string) result
 (** Parse a [;]-separated script (trailing [;] optional, empty statements
     ignored). *)

@@ -1,14 +1,11 @@
 (** Cost model: price a candidate access path in cell-decrypt units.
 
     Inputs come from the live {!Secdb_obs.Metrics} registry when the obs
-    switch is on — pager and paged-B⁺-tree cache hit rates, and the
-    per-plan latency histograms the engine maintains — with static
-    fallbacks (everything cached, no feedback) when it is off, so EXPLAIN
-    output under cram is deterministic. *)
+    switch is on — the per-plan latency histograms the engine maintains —
+    with a static fallback (no feedback) when it is off, so EXPLAIN output
+    under cram is deterministic. *)
 
 type inputs = {
-  pager_hit_rate : float;  (** fraction of pager lookups served from cache, 0..1 *)
-  pbt_hit_rate : float;  (** fraction of paged-B⁺-tree node reads served from cache *)
   probe_feedback : float;
       (** observed exact-probe vs bucket-scan mean-latency ratio
           ([sql.plan_latency{plan=index}] / [{plan=bucket}]), clamped to
@@ -16,16 +13,16 @@ type inputs = {
 }
 
 val static_inputs : inputs
-(** All caches hot, no feedback — the obs-off fallback. *)
+(** No feedback — the obs-off fallback. *)
 
 val live : unit -> inputs
 (** Read the registry when {!Secdb_obs.Obs.on}, else {!static_inputs}. *)
 
 val seq_scan : rows:int -> ncols:int -> float
 
-val index_probe : inputs -> rows:int -> ncols:int -> estimate:float -> paged:bool -> float
-(** Tree descent (pricier when paged and caches are cold) plus fetching
-    the estimated matching rows. *)
+val index_probe : inputs -> rows:int -> ncols:int -> estimate:float -> float
+(** Tree descent (scaled by the probe feedback) plus fetching the
+    estimated matching rows. *)
 
 val bucket_scan : rows:int -> ncols:int -> estimate:float -> buckets:int -> float
 (** Unsealing the covered buckets (at least one — overlap is
@@ -41,6 +38,5 @@ val index_loop_join :
   outer_out:float ->
   inner_rows:int ->
   inner_ncols:int ->
-  paged:bool ->
   float
 (** One exact-index descent on the inner table per outer row. *)

@@ -14,7 +14,7 @@ type access =
       estimate : float;
           (** estimated selectivity from the column's histogram
               ({!Secdb.Encdb.index_selectivity}); 1.0 = no information *)
-    }  (** exact encrypted B⁺-tree range walk (memory- or pager-backed) *)
+    }  (** exact encrypted in-memory B⁺-tree range walk *)
   | Bucket_scan of {
       col : string;
       lo : Secdb_db.Value.t option;

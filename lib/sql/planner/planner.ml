@@ -60,11 +60,6 @@ let split_qual c =
 
 (* --- candidate access paths ----------------------------------------------- *)
 
-(* a paged index answers has_index but hides its in-memory tree *)
-let index_is_paged db ~table ~col =
-  Encdb.has_index db ~table ~col
-  && (match Encdb.index db ~table ~col with _ -> false | exception Not_found -> true)
-
 let table_ncols db table = Schema.ncols (Etable.schema (Encdb.table db table))
 
 (* every access path for one table, with its cost.  [col_of] maps a WHERE
@@ -86,9 +81,8 @@ let access_candidates db inputs ~table ~col_of where =
         |> List.map (fun (c, (lo, hi)) ->
                let b = Option.get (col_of c) in
                let estimate = estimate_of b lo hi in
-               let paged = index_is_paged db ~table ~col:b in
                ( Plan.Index_probe { col = b; lo; hi; estimate },
-                 Cost.index_probe inputs ~rows ~ncols ~estimate ~paged ))
+                 Cost.index_probe inputs ~rows ~ncols ~estimate ))
       in
       let range =
         collect_bounds ~eligible:(eligible (Encdb.has_range_index db)) w
@@ -149,8 +143,7 @@ let candidates db (s : Ast.select) ~join =
                           loop;
                           mk Plan.Index_loop_join
                             (Cost.index_loop_join inputs ~outer_cost ~outer_out ~inner_rows
-                               ~inner_ncols
-                               ~paged:(index_is_paged db ~table:it ~col:ic));
+                               ~inner_ncols);
                         ]
                       else [ loop ]))
   in

@@ -16,13 +16,6 @@ type seal = {
   unseal : page:int -> string -> (string, string) result;
 }
 
-let plain_seal =
-  {
-    seal_name = "plain";
-    seal = (fun ~page:_ m -> m);
-    unseal = (fun ~page:_ b -> Ok b);
-  }
-
 let be8 = Xbytes.int_to_be_string ~width:8
 
 let aead_seal ~aead ~nonce ~tree_id =

@@ -35,9 +35,6 @@ type seal = {
   unseal : page:int -> string -> (string, string) result;
 }
 
-val plain_seal : seal
-(** Identity seal — nodes stored as plaintext (tests, format debugging). *)
-
 val aead_seal :
   aead:Secdb_aead.Aead.t -> nonce:Secdb_aead.Nonce.t -> tree_id:int -> seal
 (** Page bytes are [nonce ∥ tag ∥ ciphertext] with associated data

@@ -258,9 +258,34 @@ let test_paged_save_load () =
             (List.map fst rows)
       | Error e -> Alcotest.fail e));
   (* wrong profile is refused *)
-  match Encdb.load_paged ~master:"paged" ~profile:Encdb.Elovici_append ~path () with
+  (match Encdb.load_paged ~master:"paged" ~profile:Encdb.Elovici_append ~path () with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "profile mismatch accepted"
+  | Ok _ -> Alcotest.fail "profile mismatch accepted");
+  (* damaged files fail closed: an [Error], never an exception, and the
+     pager file is released on the way out *)
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let refused what =
+    let before = open_fds () in
+    (match Encdb.load_paged ~master:"paged" ~profile ~path () with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: load accepted" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+    Alcotest.(check (option int)) (what ^ ": no descriptor leaked") before (open_fds ())
+  in
+  (* a directory pointer to a page that does not exist *)
+  let pager =
+    match Secdb_storage.Pager.open_file ~path () with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  Secdb_storage.Pager.write pager 1 (Secdb_util.Xbytes.int_to_be_string ~width:8 999);
+  Secdb_storage.Pager.close pager;
+  refused "out-of-range directory pointer";
+  (* a valid pager file without the pointer page *)
+  Secdb_storage.Pager.close (Secdb_storage.Pager.create ~path ());
+  refused "empty pager file";
+  Sys.remove path
 
 let suites =
   suites

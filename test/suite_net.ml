@@ -74,15 +74,14 @@ let sample_reqs =
     Wire.Stats `Text;
     Wire.Stats `Json;
     Wire.Sql "SELECT * FROM t WHERE v = 'x'";
-    Wire.Put_cell { table = "t"; row = 123456; col = "v"; value = Value.Text "x" };
-    Wire.Get_cell { table = ""; row = 0; col = "" };
-    Wire.Insert_row { table = "t"; values = sample_values };
-    Wire.Decrypt_column { table = "t"; col = "v" };
-    Wire.Index_lookup { table = "t"; col = "v"; value = Value.Int (-7L) };
     Wire.Repl_pull { ack = 0; max = 256 };
     Wire.Repl_pull { ack = 123456; max = 1 };
     Wire.Repl_root;
   ]
+
+(* raw codec pieces, for bodies the encoder can no longer produce *)
+let be32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+let wire_str s = be32 (String.length s) ^ s
 
 let test_req_roundtrip () =
   List.iter
@@ -92,24 +91,27 @@ let test_req_roundtrip () =
       | Ok _ -> Alcotest.failf "req %s decoded to a different request" (Wire.op_name req)
       | Error e -> Alcotest.failf "req %s: %s" (Wire.op_name req) e)
     sample_reqs;
-  (match Wire.decode_req "" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty request body accepted");
-  match Wire.decode_req "\xee" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op byte accepted"
+  List.iter
+    (fun (what, body) ->
+      match Wire.decode_req body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("empty request body", "");
+      ("unknown op byte", "\xee");
+      (* retired tag 0x03 with a well-formed payload of its former op *)
+      ( "retired op 0x03",
+        "\x03" ^ wire_str "t" ^ be32 0 ^ wire_str "v" ^ wire_str (Value.encode (Value.Text "x")) );
+    ]
 
 let test_resp_roundtrip () =
   let samples =
     [
       Wire.Pong "payload";
       Wire.Stats_dump "counter x 1\n";
-      Wire.Updated;
-      Wire.Cell_value (Value.Text "v");
-      Wire.Row_id 41;
-      Wire.Column [ Wire.Tombstone; Wire.Cell (Value.Int 5L); Wire.Cell_error "bad tag" ];
-      Wire.Rows [ (0, sample_values); (7, []) ];
-      Wire.Rows [];
+      Wire.Outcome
+        (Secdb_sql.Engine.Rows
+           { columns = List.map (fun _ -> "c") sample_values; rows = [ sample_values ] });
       Wire.Repl_records { durable = 9; records = [ (0, "sealed-0"); (1, String.make 300 'r') ] };
       Wire.Repl_records { durable = 0; records = [] };
       Wire.Root { applied = 42; root = String.make 32 '\x5c' };
@@ -121,7 +123,11 @@ let test_resp_roundtrip () =
       | Ok resp' when resp = resp' -> ()
       | Ok _ -> Alcotest.fail "response decoded to a different value"
       | Error e -> Alcotest.failf "resp: %s" e)
-    samples
+    samples;
+  (* retired response tag 0x05 with a well-formed payload of its former kind *)
+  match Wire.decode_resp ("\x05" ^ be32 41) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "retired response tag 0x05 accepted"
 
 let test_frame_roundtrip () =
   let frames =
@@ -199,13 +205,13 @@ let script i =
   let t = Printf.sprintf "t%d" i in
   [
     Wire.Sql (Printf.sprintf "CREATE TABLE %s (id INT CLEAR, v TEXT)" t);
-    Wire.Insert_row { table = t; values = [ Value.Int 0L; Value.Text (t ^ "-zero") ] };
-    Wire.Insert_row { table = t; values = [ Value.Int 1L; Value.Text (t ^ "-one") ] };
-    Wire.Insert_row { table = t; values = [ Value.Int 2L; Value.Text (t ^ "-one") ] };
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (0, '%s-zero')" t t);
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (1, '%s-one')" t t);
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (2, '%s-one')" t t);
     Wire.Sql (Printf.sprintf "CREATE INDEX ON %s (v)" t);
-    Wire.Index_lookup { table = t; col = "v"; value = Value.Text (t ^ "-one") };
-    Wire.Get_cell { table = t; row = 0; col = "v" };
-    Wire.Decrypt_column { table = t; col = "v" };
+    Wire.Sql (Printf.sprintf "SELECT * FROM %s WHERE v = '%s-one'" t t);
+    Wire.Sql (Printf.sprintf "SELECT v FROM %s WHERE id = 0" t);
+    Wire.Sql (Printf.sprintf "SELECT v FROM %s" t);
     (* point lookups — the snapshot fast path on the server — must stay
        byte-identical to the in-process dispatcher, indexed or not *)
     Wire.Sql (Printf.sprintf "SELECT id, v FROM %s WHERE v = '%s-one' ORDER BY id DESC" t t);
@@ -275,12 +281,7 @@ let prop_wire_range_matches_inprocess =
          let stmts =
            [ Wire.Sql "CREATE TABLE r (id INT CLEAR, v TEXT)" ]
            @ List.map
-               (fun n ->
-                 Wire.Insert_row
-                   {
-                     table = "r";
-                     values = [ Value.Int (Int64.of_int n); Value.Text (Printf.sprintf "v%d" n) ];
-                   })
+               (fun n -> Wire.Sql (Printf.sprintf "INSERT INTO r VALUES (%d, 'v%d')" n n))
                vals
            @ [
                Wire.Sql "CREATE RANGE INDEX ON r (id) BUCKETS 4";
