@@ -32,7 +32,6 @@ module Etable = Secdb_query.Encrypted_table
 module Vfs = Secdb_storage.Vfs
 module Pager = Secdb_storage.Pager
 module Blob_store = Secdb_storage.Blob_store
-module Pbt = Secdb_storage.Paged_bptree
 
 let key = Xbytes.of_hex "000102030405060708090a0b0c0d0e0f"
 let key_mac = Xbytes.of_hex "ffeeddccbbaa99887766554433221100"
@@ -468,42 +467,6 @@ let check_net () =
           | _ -> fail_check "net: wire result differs from in-process dispatch")
         over_wire reqs)
 
-(* --- paged vs in-memory B+-tree ----------------------------------------- *)
-
-let check_paged () =
-  (* a paged tree over a tiny pager cache and an in-memory tree fed the
-     same workload must answer identically — the dataset spans well over
-     10x the page cache, so most lookups unseal nodes from "disk" *)
-  let ctl = Vfs.Fault.make ~seed:21 () in
-  let pager =
-    Pager.create ~path:"mem:perf_pbt.pg" ~page_size:512 ~cache_pages:8
-      ~vfs:(Vfs.Fault.vfs ctl) ()
-  in
-  let aead = Secdb_aead.Eax.make aes_fast in
-  let nonce = Secdb_aead.Nonce.counter ~size:aead.Secdb_aead.Aead.nonce_size () in
-  let seal = Pbt.aead_seal ~aead ~nonce ~tree_id:77 in
-  let paged = Pbt.create ~pager ~seal ~order:4 ~cache_nodes:8 ~id:77 () in
-  let mem = B.create ~id:77 ~codec:B.plain_codec () in
-  for i = 0 to 799 do
-    let v = Value.Int (Int64.of_int (i * 7 mod 191)) in
-    Pbt.insert paged v ~table_row:i;
-    B.insert mem v ~table_row:i;
-    if i mod 5 = 0 then begin
-      let d = Value.Int (Int64.of_int (i * 3 mod 191)) in
-      if B.delete mem d ~table_row:(i / 2) <> Pbt.delete paged d ~table_row:(i / 2) then
-        fail_check "paged bptree: delete verdict differs"
-    end
-  done;
-  if Pager.page_count pager < 80 then fail_check "paged bptree: dataset does not exceed cache";
-  for k = 0 to 190 do
-    let v = Value.Int (Int64.of_int k) in
-    if B.find mem v <> Pbt.find paged v then fail_check "paged bptree: find differs"
-  done;
-  if B.range mem () <> Pbt.range paged () then fail_check "paged bptree: full range differs";
-  if B.size mem <> Pbt.size paged then fail_check "paged bptree: size differs";
-  Pbt.flush paged;
-  Pager.close pager
-
 (* --- adaptive planner byte-identity -------------------------------------- *)
 
 module SE = Secdb_sql.Engine
@@ -591,7 +554,6 @@ let run_checks () =
           check_parallel_table pool;
           check_parallel_bulk_load pool;
           check_fault_vfs ();
-          check_paged ();
           check_planner ();
           check_net ()));
   check_snapshot := Some (Secdb_obs.Metrics.snapshot ());
@@ -934,50 +896,7 @@ let bench_server ~fast =
     rates;
   let speedup = List.assoc 4 rates /. List.assoc 1 rates in
   sample ~section:"server" ~name:"speedup-4s" ~qualifier:"4-shards/1-shard" ~unit_:"x" speedup;
-  row "  speedup-4s %.2fx (%d domain(s) recommended here)" speedup (Pool.recommended ());
-  (* what the persistence costs: point lookups against the in-memory tree
-     and against the AEAD-sealed paged tree whose working set exceeds
-     both the node cache and the page cache *)
-  let n = if fast then 800 else 4000 in
-  let keyspace = 191 in
-  let ctl = Vfs.Fault.make ~seed:22 () in
-  let pager =
-    Pager.create ~path:"mem:perf_pbt_bench.pg" ~page_size:512 ~cache_pages:8
-      ~vfs:(Vfs.Fault.vfs ctl) ()
-  in
-  let aead = Secdb_aead.Eax.make aes_fast in
-  let nonce = Secdb_aead.Nonce.counter ~size:aead.Secdb_aead.Aead.nonce_size () in
-  let paged =
-    Pbt.create ~pager
-      ~seal:(Pbt.aead_seal ~aead ~nonce ~tree_id:78)
-      ~order:8 ~cache_nodes:8 ~id:78 ()
-  in
-  let mem = B.create ~id:78 ~codec:B.plain_codec () in
-  for i = 0 to n - 1 do
-    let v = Value.Int (Int64.of_int (i * 7 mod keyspace)) in
-    Pbt.insert paged v ~table_row:i;
-    B.insert mem v ~table_row:i
-  done;
-  let min_time = if fast then 0.05 else 0.3 in
-  let probe find =
-    let s =
-      time_per_call ~min_time (fun () ->
-          for k = 0 to keyspace - 1 do
-            ignore (find (Value.Int (Int64.of_int k)))
-          done)
-    in
-    float_of_int keyspace /. s
-  in
-  let mem_rate = probe (B.find mem) in
-  let paged_rate = probe (Pbt.find paged) in
-  Pager.close pager;
-  sample ~section:"server" ~name:"index-lookup" ~qualifier:"in-memory" ~unit_:"lookups/s"
-    mem_rate;
-  sample ~section:"server" ~name:"index-lookup" ~qualifier:"paged-aead" ~unit_:"lookups/s"
-    paged_rate;
-  row "  index lookups: in-memory %9.0f /s   paged+aead %9.0f /s (%.1fx cost)" mem_rate
-    paged_rate
-    (mem_rate /. paged_rate)
+  row "  speedup-4s %.2fx (%d domain(s) recommended here)" speedup (Pool.recommended ())
 
 let bench_repl ~fast =
   (* the replication pipeline: the primary's seal+append+fsync rate, then

@@ -292,10 +292,10 @@ let sql_cmd =
 
 (* A fixed workload that touches every instrumented layer — pager cache,
    blob store, AEAD (including a rejected tamper), the domain pool, batch
-   table encryption, an index walk, the paged B+-tree, the shard map and
-   the oplog — sized so every counter value is a pure function of the
-   code, never of timing.  The cram suite pins the full text dump, which
-   is what makes the counters a regression gate and not just ops sugar. *)
+   table encryption, an index walk, the shard map and the oplog — sized
+   so every counter value is a pure function of the code, never of
+   timing.  The cram suite pins the full text dump, which is what makes
+   the counters a regression gate and not just ops sugar. *)
 let stats_workload () =
   let module Metrics = Secdb_obs.Metrics in
   let module Pool = Secdb_util.Pool in
@@ -392,25 +392,6 @@ let stats_workload () =
    with
   | Ok a when List.length a.Secdb_query.Walker.results = 10 -> ()
   | Ok _ | Error _ -> failwith "stats workload: walker range");
-  (* paged B+-tree: a sealed tree whose node cache is smaller than the
-     node count, so loads, cache hits, evictions and the pager's dirty
-     write-backs all fire *)
-  (let module Pbt = Secdb_storage.Paged_bptree in
-   with_temp ".pbt" (fun path ->
-       let p = Pager.create ~path ~page_size:512 ~cache_pages:4 () in
-       let nonce = Secdb_aead.Nonce.counter ~size:16 () in
-       let seal = Pbt.aead_seal ~aead:(Secdb_aead.Eax.make aes) ~nonce ~tree_id:11 in
-       let t = Pbt.create ~pager:p ~seal ~order:4 ~cache_nodes:8 ~id:11 () in
-       for i = 1 to 48 do
-         Pbt.insert t (Value.Int (Int64.of_int (i * 7 mod 48))) ~table_row:i
-       done;
-       for i = 1 to 48 do
-         match Pbt.find t (Value.Int (Int64.of_int (i * 7 mod 48))) with
-         | _ :: _ -> ()
-         | [] -> failwith "stats workload: paged find"
-       done;
-       Pbt.flush t;
-       Pager.close p));
   (* an encrypted SQL table through the adaptive planner, so the cost
      model's own inputs — db.rows{table} cardinality and the pager hit
      rate — land in the dump alongside the raw cache counters *)

@@ -37,7 +37,7 @@ step "leakage bounds (range index attack bench, fixed seeds)"
 dune build @leakage
 
 step "crash-safety matrix (explicit rerun of the durability suites)"
-dune exec -- test/test_main.exe test 'storage:crash|storage:fsck|storage:paged|repl:crash'
+dune exec -- test/test_main.exe test 'storage:crash|storage:fsck|integration:paged|repl:crash'
 
 step "serve smoke (networked client/server end to end)"
 ci/serve_smoke.sh

@@ -16,7 +16,7 @@ module Value = Secdb_db.Value
 module Schema = Secdb_db.Schema
 module Etable = Secdb_query.Encrypted_table
 
-let dir = Filename.concat (Filename.get_temp_dir_name ()) "secdb_rotation_demo"
+let path = Filename.concat (Filename.get_temp_dir_name ()) "secdb_rotation_demo.db"
 
 let schema =
   Schema.v ~table_name:"vault"
@@ -48,16 +48,16 @@ let () =
   | Error e -> Printf.printf "UNEXPECTED: %s\n" e);
 
   (* persist under the new master, then demonstrate that the old one fails *)
-  Encdb.save db ~dir;
+  Encdb.save db ~path ();
   Encdb.close db;
-  (match Encdb.load ~master:"winter-2025-master" ~profile ~dir ~seed:5L () with
+  (match Encdb.load ~master:"winter-2025-master" ~profile ~path ~seed:5L () with
   | Error e -> Printf.printf "old master rejected at load: %s\n" e
   | Ok stale -> (
       match Encdb.select_eq stale ~table:"vault" ~col:"secret" (Value.Text "secret payload #042") with
       | Error _ -> print_endline "old master key opens nothing (decryption fails closed)"
       | Ok [] -> print_endline "old master key finds nothing"
       | Ok _ -> print_endline "UNEXPECTED: old master still works"));
-  match Encdb.load ~master:"spring-2026-master" ~profile ~dir ~seed:6L () with
+  match Encdb.load ~master:"spring-2026-master" ~profile ~path ~seed:6L () with
   | Error e -> Printf.printf "UNEXPECTED: %s\n" e
   | Ok db' -> (
       match Encdb.select_eq db' ~table:"vault" ~col:"secret" (Value.Text "secret payload #007") with

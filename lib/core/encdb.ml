@@ -444,9 +444,9 @@ let delete_row t ~table:name ~row =
       notify t (Deleted { table = name; row });
       Ok ()
 
-(* --- paged persistence ---------------------------------------------------- *)
+(* --- persistence -------------------------------------------------------- *)
 
-let save_paged t ~path ?(page_size = 4096) ?vfs () =
+let save t ~path ?(page_size = 4096) ?vfs () =
   ensure_open t;
   let tables = Hashtbl.fold (fun name tbl acc -> (name, tbl) :: acc) t.tables [] in
   let indexes = Hashtbl.fold (fun key tree acc -> (key, tree) :: acc) t.indexes [] in
@@ -477,7 +477,7 @@ let save_paged t ~path ?(page_size = 4096) ?vfs () =
   Secdb_storage.Pager.write pager pointer_page (be8 dir_id);
   Secdb_storage.Pager.close pager
 
-let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profile ~path () =
+let load ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profile ~path () =
   let ( let* ) = Result.bind in
   let* pager = Secdb_storage.Pager.open_file ~path ~cache_pages ?vfs () in
   (* every path, error or exception, releases the file *)
@@ -489,7 +489,7 @@ let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profi
   in
   let* () =
     if Secdb_storage.Pager.page_count pager >= 1 then Ok ()
-    else Error "load_paged: no directory pointer page"
+    else Error "load: no directory pointer page"
   in
   let dir_id =
     Secdb_util.Xbytes.be_string_to_int (String.sub (Secdb_storage.Pager.read pager 1) 0 8)
@@ -498,11 +498,11 @@ let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profi
   let* fields = Secdb_db.Codec.unframe directory in
   match fields with
   | m :: section :: prof :: entries ->
-      if m <> Secdb_storage.Storage.magic then Error "load_paged: bad magic"
-      else if section <> "paged-directory" then Error "load_paged: not a paged database"
+      if m <> Secdb_storage.Storage.magic then Error "load: bad magic"
+      else if section <> "paged-directory" then Error "load: not a paged database"
       else if prof <> profile_name profile then
         Error
-          (Printf.sprintf "load_paged: database was saved under profile %s, not %s" prof
+          (Printf.sprintf "load: database was saved under profile %s, not %s" prof
              (profile_name profile))
       else begin
         let t = create ~seed ~order ~master ~profile () in
@@ -527,13 +527,13 @@ let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profi
                   let* tbl =
                     match Hashtbl.find_opt t.tables name with
                     | Some tbl -> Ok tbl
-                    | None -> Error (Printf.sprintf "load_paged: index for unknown table %s" name)
+                    | None -> Error (Printf.sprintf "load: index for unknown table %s" name)
                   in
                   let* col_id =
                     match Schema.col_index (Etable.schema tbl) col with
                     | c -> Ok c
                     | exception Not_found ->
-                        Error (Printf.sprintf "load_paged: unknown column %s.%s" name col)
+                        Error (Printf.sprintf "load: unknown column %s.%s" name col)
                   in
                   let codec = index_codec t ~table_id:(Etable.id tbl) ~col_id in
                   let* data = blob_load (Secdb_util.Xbytes.be_string_to_int id) in
@@ -548,12 +548,12 @@ let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profi
                   if Secdb_index.Bptree.id tree >= t.next_index_id then
                     t.next_index_id <- Secdb_index.Bptree.id tree + 1;
                   Ok ()
-              | _ -> Error "load_paged: malformed directory entry")
+              | _ -> Error "load: malformed directory entry")
             (Ok ()) entries
         in
         Result.map (fun () -> t) result
       end
-  | _ -> Error "load_paged: malformed directory"
+  | _ -> Error "load: malformed directory"
 
 let digest t =
   let tables =
@@ -676,108 +676,3 @@ let select_eq t ~table:name ~col ?(mode = Walker.Corrected) probe =
       match Etable.select_result tbl (fun values -> Value.equal values.(col_id) probe) with
       | Ok rows -> Ok rows
       | Error e -> Error e)
-
-(* --- persistence -------------------------------------------------------- *)
-
-let manifest_name = "secdb.manifest"
-
-let save t ~dir =
-  ensure_open t;
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let tables = Hashtbl.fold (fun name tbl acc -> (name, tbl) :: acc) t.tables [] in
-  let indexes = Hashtbl.fold (fun key tree acc -> (key, tree) :: acc) t.indexes [] in
-  let manifest =
-    Secdb_db.Codec.frame
-      (Secdb_storage.Storage.magic :: "manifest" :: profile_name t.profile
-      :: Secdb_db.Codec.frame (List.map fst tables)
-      :: List.map (fun ((tbl, col), _) -> Secdb_db.Codec.frame [ tbl; col ]) indexes)
-  in
-  let out path data =
-    let oc = open_out_bin (Filename.concat dir path) in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
-  in
-  out manifest_name manifest;
-  List.iter
-    (fun (name, tbl) ->
-      Secdb_storage.Storage.save_table ~path:(Filename.concat dir (name ^ ".table")) tbl)
-    tables;
-  List.iter
-    (fun ((tbl, col), tree) ->
-      Secdb_storage.Storage.save_index
-        ~path:(Filename.concat dir (Printf.sprintf "%s.%s.index" tbl col))
-        tree)
-    indexes
-
-let load ?(seed = 2L) ?(order = 4) ~master ~profile ~dir () =
-  let ( let* ) = Result.bind in
-  let read path =
-    let full = Filename.concat dir path in
-    if not (Sys.file_exists full) then Error (Printf.sprintf "load: missing file %s" full)
-    else
-      let ic = open_in_bin full in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  in
-  let* manifest = read manifest_name in
-  let* fields = Secdb_db.Codec.unframe manifest in
-  match fields with
-  | m :: section :: prof :: table_names :: index_entries ->
-      if m <> Secdb_storage.Storage.magic then Error "load: bad manifest magic"
-      else if section <> "manifest" then Error "load: not a manifest"
-      else if prof <> profile_name profile then
-        Error
-          (Printf.sprintf "load: database was saved under profile %s, not %s" prof
-             (profile_name profile))
-      else begin
-        let t = create ~seed ~order ~master ~profile () in
-        let* table_names = Secdb_db.Codec.unframe table_names in
-        let* () =
-          List.fold_left
-            (fun acc name ->
-              let* () = acc in
-              let* data = read (name ^ ".table") in
-              let* table_id, schema = Secdb_storage.Storage.peek_table data in
-              let* tbl =
-                Secdb_storage.Storage.decode_table
-                  ~scheme:(cell_scheme t ~table_id ~schema) data
-              in
-              Hashtbl.add t.tables name tbl;
-              recount_rows t name tbl;
-              if table_id >= t.next_table_id then t.next_table_id <- table_id + 1;
-              Ok ())
-            (Ok ()) table_names
-        in
-        List.fold_left
-          (fun acc entry ->
-            let* () = acc in
-            let* tbl_name, col = Secdb_db.Codec.unframe2 entry in
-            let* tbl =
-              match Hashtbl.find_opt t.tables tbl_name with
-              | Some tbl -> Ok tbl
-              | None -> Error (Printf.sprintf "load: index refers to unknown table %s" tbl_name)
-            in
-            let* col_id =
-              match Schema.col_index (Etable.schema tbl) col with
-              | c -> Ok c
-              | exception Not_found ->
-                  Error (Printf.sprintf "load: index refers to unknown column %s.%s" tbl_name col)
-            in
-            let codec = index_codec t ~table_id:(Etable.id tbl) ~col_id in
-            let* data = read (Printf.sprintf "%s.%s.index" tbl_name col) in
-            let* tree = Secdb_storage.Storage.decode_index ~codec data in
-            (* a wrong key or tampered payload surfaces at query time, not
-               here: statistics are best-effort *)
-            let hist =
-              try Secdb_query.Histogram.of_values (List.map fst (Bptree.range tree ()))
-              with Bptree.Integrity _ -> Secdb_query.Histogram.create ()
-            in
-            Hashtbl.replace t.index_hists (tbl_name, col) hist;
-            Hashtbl.add t.indexes (tbl_name, col) tree;
-            if Secdb_index.Bptree.id tree >= t.next_index_id then
-              t.next_index_id <- Secdb_index.Bptree.id tree + 1;
-            Ok ())
-          (Ok ()) index_entries
-        |> Result.map (fun () -> t)
-      end
-  | _ -> Error "load: malformed manifest"

@@ -133,8 +133,8 @@ val index_selectivity :
     exact B⁺-tree index (whose node structure reveals the full plaintext
     order to storage), the leakage here is capped by the bucket count —
     {!Secdb_attacks.Range_leak} measures it and CI pins the bound.  Range
-    indexes live in memory only; they are not persisted by {!save} /
-    {!save_paged} and must be re-created after {!load}. *)
+    indexes live in memory only; they are not persisted by {!save} and
+    must be re-created after {!load}. *)
 
 val create_range_index : t -> table:string -> col:string -> ?buckets:int -> unit -> unit
 (** Build a bucketized range index over a column: decrypt the column once,
@@ -177,12 +177,23 @@ val delete_row : t -> table:string -> row:int -> (unit, string) result
     compaction would force a full re-encryption (see
     {!Secdb_query.Encrypted_table.delete_row}). *)
 
-val save_paged : t -> path:string -> ?page_size:int -> ?vfs:Secdb_storage.Vfs.t -> unit -> unit
-(** Persist the whole database into a single {!Secdb_storage.Pager} file:
-    a directory blob plus one blob per table and per index.  Same contract
-    as {!save}, different storage system. *)
+(** {2 Persistence}
 
-val load_paged :
+    The database's stored representation — clear structure, encrypted
+    payloads, no keys — is one {!Secdb_storage.Pager} image: page 1
+    points at a directory blob, which names one {!Secdb_storage.Blob_store}
+    blob per table and per index, each encoded by
+    {!Secdb_storage.Storage}.  This is the artefact of the paper's threat
+    model: copying the file is the storage adversary's read access,
+    editing it their write access. *)
+
+val save : t -> path:string -> ?page_size:int -> ?vfs:Secdb_storage.Vfs.t -> unit -> unit
+(** Write the whole database to a fresh pager image at [path] (truncating
+    any existing file), through [vfs] (default {!Secdb_storage.Vfs.unix}).
+    The file is flushed, synced and closed before [save] returns; the
+    write is not atomic (the pager is not journalled). *)
+
+val load :
   ?seed:int64 ->
   ?order:int ->
   ?cache_pages:int ->
@@ -192,10 +203,15 @@ val load_paged :
   path:string ->
   unit ->
   (t, string) result
-(** Reopen a {!save_paged} file, with the same [seed] and key caveats as
-    {!load}.  A damaged file — no directory pointer page, a pointer to a
-    missing page, a malformed directory — returns [Error]; the file is
-    closed on every path. *)
+(** Reopen a {!save}d image with a fresh session.  [master] and [profile]
+    must match the saving session or every decryption will fail (there is
+    deliberately no way to tell a wrong key from tampered data); a
+    profile mismatch is refused outright.  Pass a [seed] not used by any
+    earlier session over the same data: it drives nonce generation, and
+    the fixed schemes need fresh nonces for future writes.  A damaged
+    file — no directory pointer page, a pointer to a missing page, a
+    malformed directory — returns [Error]; the file is closed on every
+    path. *)
 
 val digest : t -> string
 (** Constant-size Merkle anchor over the complete stored representation —
@@ -234,29 +250,3 @@ val select_range :
   unit ->
   ((int * Secdb_db.Value.t array) list, string) result
 (** Inclusive range query; requires an index on the column. *)
-
-(** {2 Persistence}
-
-    The database's stored representation — clear structure, encrypted
-    payloads, no keys — written through {!Secdb_storage.Storage}.  This is
-    the artefact of the paper's threat model: copying the directory is the
-    storage adversary's read access, editing it their write access. *)
-
-val save : t -> dir:string -> unit
-(** Write a manifest plus one file per table and per index into [dir]
-    (created if missing).  @raise Sys_error on I/O failure. *)
-
-val load :
-  ?seed:int64 ->
-  ?order:int ->
-  master:string ->
-  profile:profile ->
-  dir:string ->
-  unit ->
-  (t, string) result
-(** Reopen a saved database with a fresh session.  [master] and [profile]
-    must match the saving session or every decryption will fail (there is
-    deliberately no way to tell a wrong key from tampered data).  Pass a
-    [seed] not used by any earlier session over the same data: it drives
-    nonce generation, and the fixed schemes need fresh nonces for future
-    writes. *)

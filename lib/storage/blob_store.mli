@@ -3,9 +3,8 @@
     A blob is a chain of pages: each page holds an 8-byte next-page id
     (0 = end), a 4-byte payload length, and payload bytes.  Blob ids are
     the chain's first page id.  Together with {!Pager} this gives the
-    encrypted artefacts a realistic home on disk: tables and indexes are
-    stored as blobs ({!save_table_paged} etc. in tests/experiments replay
-    access traces through the buffer pool).
+    encrypted artefacts a realistic home on disk: [Encdb.save] stores
+    every table and index as a blob behind one directory blob.
 
     Chain walks are bounded by the pager's page count (a chain cannot be
     longer than the file), so a corrupted next pointer that forms a cycle

@@ -231,20 +231,3 @@ let index_leaves t =
   let snap = B.snapshot t in
   let header = Codec.frame [ be8 snap.B.snap_root; be8 snap.B.snap_size; be8 snap.B.snap_order ] in
   header :: List.map encode_node (Array.to_list snap.B.snap_slots)
-
-(* --- files -------------------------------------------------------------- *)
-
-let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let save_table ~path t = write_file path (encode_table t)
-let load_table ~path ~scheme = decode_table ~scheme (read_file path)
-let save_index ~path t = write_file path (encode_index t)
-let load_index ~path ~codec = decode_index ~codec (read_file path)

@@ -4,13 +4,14 @@
     physical access to the machine or storage system holding the actual
     data can copy or modify it."  This module serialises the stored
     representation — clear structure, ciphertext payloads, {e no} keys —
-    to a self-describing binary file, so the adversarial experiments can
-    literally operate on bytes at rest.
+    to self-describing byte strings; [Encdb.save] stores each one as a
+    {!Blob_store} blob of a single {!Pager} image, so the adversarial
+    experiments can literally operate on bytes at rest.
 
     The format is deliberately unauthenticated as a whole: per-cell and
     per-entry protection is the scheme's job (that is the paper's point),
-    and file-level corruption of lengths or tags is reported as a parse
-    error rather than masked. *)
+    and corruption of lengths or tags is reported as a parse error
+    rather than masked. *)
 
 val magic : string
 (** ["SECDB\x00\x01\x00"] — format identifier and version. *)
@@ -53,17 +54,3 @@ val decode_index :
 
 val table_leaves : Secdb_query.Encrypted_table.t -> string list
 val index_leaves : Secdb_index.Bptree.t -> string list
-
-(** {2 Files} *)
-
-val save_table : path:string -> Secdb_query.Encrypted_table.t -> unit
-val load_table :
-  path:string ->
-  scheme:(int -> Secdb_schemes.Cell_scheme.t) ->
-  (Secdb_query.Encrypted_table.t, string) result
-
-val save_index : path:string -> Secdb_index.Bptree.t -> unit
-val load_index :
-  path:string ->
-  codec:Secdb_index.Bptree.codec ->
-  (Secdb_index.Bptree.t, string) result

@@ -63,33 +63,60 @@ let test_db_digest () =
 let test_suppression_attack_and_anchor () =
   (* EXP22 in miniature: per-cell AEAD misses row suppression; the anchor
      catches it *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "secdb_anchor_test" in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "secdb_anchor_test.db" in
   let db = make_db () in
   let anchor = Encdb.digest db in
-  Encdb.save db ~dir;
+  Encdb.save db ~path ();
   Encdb.close db;
-  (* the adversary tombstones row 7 in the stored file *)
-  let path = Filename.concat dir "t.table" in
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  (* the adversary edits structure only (no keys needed): reparse the file
-     with an identity scheme, tombstone the victim row, re-serialise *)
-  let tampered =
-    match Secdb_storage.Storage.decode_table
-            ~scheme:(fun _ ->
-              Secdb_schemes.Cell_scheme.
-                { name = "raw"; deterministic = true; parallel_safe = true;
-                  encrypt = (fun _ v -> v); decrypt = (fun _ v -> Ok v) })
-            data
-    with
-    | Ok t ->
-        Etable.delete_row t ~row:7;
-        Secdb_storage.Storage.encode_table t
-    | Error e -> Alcotest.fail e
+  (* the adversary tombstones row 7 in the stored image, editing structure
+     only (no keys needed): follow the directory pointer on page 1 to the
+     table's blob, reparse it with an identity scheme, tombstone the
+     victim row, re-serialise in place *)
+  let pager =
+    match Secdb_storage.Pager.open_file ~path () with Ok p -> p | Error e -> Alcotest.fail e
   in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc tampered);
+  let blobs = Secdb_storage.Blob_store.attach pager in
+  let blob id =
+    match Secdb_storage.Blob_store.load blobs id with
+    | Ok data -> data
+    | Error e -> Alcotest.fail (Secdb_storage.Blob_store.chain_error_to_string e)
+  in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let dir_id =
+    Secdb_util.Xbytes.be_string_to_int (String.sub (Secdb_storage.Pager.read pager 1) 0 8)
+  in
+  let entries =
+    match ok (Secdb_db.Codec.unframe (blob dir_id)) with
+    | _magic :: _section :: _profile :: entries -> entries
+    | _ -> Alcotest.fail "malformed directory"
+  in
+  let table_id =
+    List.find_map
+      (fun entry ->
+        match ok (Secdb_db.Codec.unframe entry) with
+        | [ "T"; "t"; _; id ] -> Some (Secdb_util.Xbytes.be_string_to_int id)
+        | _ -> None)
+      entries
+    |> Option.get
+  in
+  let tampered =
+    let t =
+      ok
+        (Secdb_storage.Storage.decode_table
+           ~scheme:(fun _ ->
+             Secdb_schemes.Cell_scheme.
+               { name = "raw"; deterministic = true; parallel_safe = true;
+                 encrypt = (fun _ v -> v); decrypt = (fun _ v -> Ok v) })
+           (blob table_id))
+    in
+    Etable.delete_row t ~row:7;
+    Secdb_storage.Storage.encode_table t
+  in
+  ignore (Secdb_storage.Blob_store.overwrite blobs table_id tampered);
+  Secdb_storage.Pager.close pager;
   (* also drop the victim's index entries so the index stays consistent *)
   let db' =
-    match Encdb.load ~master:"anchor" ~profile:(Encdb.Fixed Encdb.Eax) ~dir ~seed:9L () with
+    match Encdb.load ~master:"anchor" ~profile:(Encdb.Fixed Encdb.Eax) ~path ~seed:9L () with
     | Ok db -> db
     | Error e -> Alcotest.fail e
   in
@@ -97,6 +124,9 @@ let test_suppression_attack_and_anchor () =
   | tree -> ignore (Secdb_index.Bptree.delete tree (Value.Text "v07") ~table_row:7)
   | exception Not_found -> Alcotest.fail "index missing");
   (* silent suppression: every remaining cell verifies, queries succeed *)
+  (match Etable.select_result (Encdb.table db' "t") (fun _ -> true) with
+  | Ok rows -> Alcotest.(check int) "19 rows verify" 19 (List.length rows)
+  | Error e -> Alcotest.fail e);
   (match Encdb.select_eq db' ~table:"t" ~col:"v" (Value.Text "v03") with
   | Ok [ _ ] -> ()
   | _ -> Alcotest.fail "reload broken");
@@ -164,11 +194,11 @@ let prop_merkle_proofs =
       M.root mutated <> root || List.length leaves = 0)
 
 let test_digest_survives_save_load () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "secdb_anchor_roundtrip" in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "secdb_anchor_roundtrip.db" in
   let db = make_db () in
   let anchor = Encdb.digest db in
-  Encdb.save db ~dir;
-  match Encdb.load ~master:"anchor" ~profile:(Encdb.Fixed Encdb.Eax) ~dir ~seed:17L () with
+  Encdb.save db ~path ();
+  match Encdb.load ~master:"anchor" ~profile:(Encdb.Fixed Encdb.Eax) ~path ~seed:17L () with
   | Error e -> Alcotest.fail e
   | Ok db' ->
       Alcotest.(check string) "anchor matches after faithful save/load"

@@ -31,15 +31,11 @@ let sample_table scheme =
   done;
   t
 
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("secdb_test_" ^ name)
-
 let test_table_roundtrip () =
   List.iter
     (fun scheme ->
       let t = sample_table scheme in
-      let path = tmp "table.bin" in
-      Storage.save_table ~path t;
-      match Storage.load_table ~path ~scheme:(fun _ -> scheme) with
+      match Storage.decode_table ~scheme:(fun _ -> scheme) (Storage.encode_table t) with
       | Error e -> Alcotest.fail e
       | Ok t' ->
           Alcotest.(check int) "id" (Etable.id t) (Etable.id t');
@@ -76,9 +72,7 @@ let sample_index codec =
 let test_index_roundtrip () =
   let codec = index_codec () in
   let tree = sample_index codec in
-  let path = tmp "index.bin" in
-  Storage.save_index ~path tree;
-  match Storage.load_index ~path ~codec with
+  match Storage.decode_index ~codec (Storage.encode_index tree) with
   | Error e -> Alcotest.fail e
   | Ok tree' ->
       Alcotest.(check int) "size" (B.size tree) (B.size tree');
@@ -120,19 +114,16 @@ let test_snapshot_structure_checks () =
   | Ok _ -> Alcotest.fail "dangling child accepted"
 
 let test_file_tampering_detected_at_query_time () =
-  (* flip one byte of an encrypted payload inside the saved file: the file
-     parses (framing intact) but the AEAD rejects the entry when decoded *)
+  (* flip one byte of an encrypted payload inside the stored bytes: they
+     parse (framing intact) but the AEAD rejects the entry when decoded *)
   let codec = index_codec () in
   let tree = sample_index codec in
-  let path = tmp "tampered_index.bin" in
-  Storage.save_index ~path tree;
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  (* find some leaf payload bytes to corrupt: flip a byte deep in the file *)
+  let data = Storage.encode_index tree in
+  (* find some leaf payload bytes to corrupt: flip a byte deep in the data *)
   let pos = String.length data - 40 in
   let corrupted = Bytes.of_string data in
   Bytes.set corrupted pos (Char.chr (Char.code data.[pos] lxor 0x01));
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc corrupted);
-  match Storage.load_index ~path ~codec with
+  match Storage.decode_index ~codec (Bytes.to_string corrupted) with
   | Error _ -> () (* corruption hit framing: also fine, reported *)
   | Ok tree' -> (
       (* corruption hit ciphertext: must surface as Integrity on scan *)
