@@ -1,12 +1,11 @@
-(* Throughput suite for the bulk-encryption engine:
+(* Throughput suite for the encryption stack:
 
      - cipher x mode MB/s on the [Block.into] kernel path, against the same
        T-table AES forced through the generic string fallback (the only path
        the seed had) — the kernel speedup numbers;
      - AEAD MB/s over the fast AES;
-     - batch cells/s for the parallel-safe cell schemes at 1/2/4 domains,
-       with the parallel == sequential byte-equality verified on every run;
-     - whole-table insert and index bulk-load at 1 vs N domains.
+     - observability and VFS overhead, wire round trips, sharded serving,
+       replication and per-plan SQL latency.
 
    Usage:
 
@@ -16,7 +15,7 @@
                                            # deterministic (used by cram)
 
    [--check] prints nothing but the verdict, so the cram test stays stable
-   while still driving every bulk path end to end. *)
+   while still running every equivalence check end to end. *)
 
 open Secdb_util
 module Block = Secdb_cipher.Block
@@ -24,11 +23,6 @@ module Mode = Secdb_modes.Mode
 module Value = Secdb_db.Value
 module Schema = Secdb_db.Schema
 module Address = Secdb_db.Address
-module Einst = Secdb_schemes.Einst
-module Fixed_cell = Secdb_schemes.Fixed_cell
-module Cell_scheme = Secdb_schemes.Cell_scheme
-module B = Secdb_index.Bptree
-module Etable = Secdb_query.Encrypted_table
 module Vfs = Secdb_storage.Vfs
 module Pager = Secdb_storage.Pager
 module Blob_store = Secdb_storage.Blob_store
@@ -104,19 +98,6 @@ let aeads =
       Secdb_aead.Compose.encrypt_then_mac ~cipher:aes_fast ~mac_key:key_mac () );
     ( "siv",
       Secdb_aead.Siv.make (Secdb_cipher.Aes_fast.cipher ~key:key_mac) aes_fast );
-  ]
-
-let mu = Address.mu_sha1 ~width:16
-
-let cell_schemes () =
-  let e_fast = Einst.cbc_zero_iv aes_fast in
-  [
-    ("append-cbc0", Secdb_schemes.Cell_append.make ~e:e_fast ~mu);
-    ( "xor-cbc0",
-      Secdb_schemes.Cell_xor.make ~e:e_fast ~mu ~validate:(fun _ -> true) () );
-    ( "fixed-eax-derived",
-      Fixed_cell.make_derived ~aead:(Secdb_aead.Eax.make aes_fast)
-        ~nonce_key:key_mac () );
   ]
 
 (* The seed's AES-CTR path, reproduced exactly in shape for the
@@ -216,11 +197,6 @@ module Seed_path = struct
     Bytes.unsafe_to_string out
 end
 
-let cell_jobs n =
-  Array.init n (fun i ->
-      ( Address.v ~table:1 ~row:i ~col:0,
-        Printf.sprintf "row-%06d:%s" i (payload 48) ))
-
 (* ------------------------------------------------------------ checks -- *)
 
 let check_failures = ref []
@@ -243,69 +219,6 @@ let check_kernel_vs_string () =
     fail_check "aes-ref vs aes-fast ctr";
   if Seed_path.ctr ~nonce:nonce16 data <> kernel_ctr then
     fail_check "seed-path ctr vs aes-fast ctr"
-
-let check_parallel_cells pool =
-  let jobs = cell_jobs 257 in
-  List.iter
-    (fun (name, scheme) ->
-      let seq = Cell_scheme.encrypt_cells scheme jobs in
-      let par = Cell_scheme.encrypt_cells ~pool scheme jobs in
-      if seq <> par then fail_check "parallel != sequential: %s" name;
-      let dec = Cell_scheme.decrypt_cells ~pool scheme (Array.map2 (fun (a, _) ct -> (a, ct)) jobs par) in
-      Array.iteri
-        (fun i r ->
-          if r <> Ok (snd jobs.(i)) then fail_check "batch decrypt: %s cell %d" name i)
-        dec)
-    (cell_schemes ())
-
-let check_parallel_table pool =
-  let schema =
-    Schema.v ~table_name:"perf"
-      [
-        Schema.column ~protection:Schema.Clear "id" Value.Kint;
-        Schema.column "a" Value.Ktext;
-        Schema.column "b" Value.Ktext;
-      ]
-  in
-  let scheme _ =
-    Fixed_cell.make_derived ~aead:(Secdb_aead.Eax.make aes_fast) ~nonce_key:key_mac ()
-  in
-  let rows =
-    List.init 101 (fun i ->
-        [ Value.Int (Int64.of_int i);
-          Value.Text (Printf.sprintf "a%04d" i);
-          Value.Text (payload (16 + (i mod 40))) ])
-  in
-  let seq = Etable.create ~id:3 schema ~scheme in
-  List.iter (fun r -> ignore (Etable.insert seq r)) rows;
-  let par = Etable.create ~id:3 schema ~scheme in
-  Etable.insert_many ~pool par rows;
-  for row = 0 to List.length rows - 1 do
-    for col = 1 to 2 do
-      if Etable.raw_ciphertext seq ~row ~col <> Etable.raw_ciphertext par ~row ~col then
-        fail_check "insert_many != insert loop at (%d,%d)" row col
-    done
-  done;
-  match Etable.decrypt_column ~pool par ~col:2 with
-  | cols ->
-      Array.iteri
-        (fun row c ->
-          if c <> Some (Ok (List.nth (List.nth rows row) 2)) then
-            fail_check "decrypt_column row %d" row)
-        cols
-
-let check_parallel_bulk_load pool =
-  let entries =
-    List.init 300 (fun i -> (Value.Text (Printf.sprintf "k%06d" (i / 2)), i))
-  in
-  let codec = Secdb_schemes.Index3.codec ~e:(Einst.cbc_zero_iv aes_fast) in
-  let seq = B.bulk_load ~id:9 ~codec entries in
-  let par = B.bulk_load ~pool ~id:9 ~codec entries in
-  if B.snapshot seq <> B.snapshot par then fail_check "bulk_load parallel != sequential";
-  (match B.validate par with
-  | Ok () -> ()
-  | Error e -> fail_check "bulk_load validate: %s" e);
-  if B.find par (Value.Text "k000007") <> [ 14; 15 ] then fail_check "bulk_load find"
 
 (* GCM reference construction, assembled from the bit-by-bit GHASH oracle
    and block-at-a-time CTR on the string closure: j0 = nonce || 00000001,
@@ -544,18 +457,11 @@ let check_snapshot = ref None
 
 let run_checks () =
   Secdb_obs.Obs.with_enabled (fun () ->
-      let pool = Pool.create ~domains:4 () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          check_kernel_vs_string ();
-          check_gcm_vs_reference ();
-          check_parallel_cells pool;
-          check_parallel_table pool;
-          check_parallel_bulk_load pool;
-          check_fault_vfs ();
-          check_planner ();
-          check_net ()));
+      check_kernel_vs_string ();
+      check_gcm_vs_reference ();
+      check_fault_vfs ();
+      check_planner ();
+      check_net ());
   check_snapshot := Some (Secdb_obs.Metrics.snapshot ());
   match !check_failures with
   | [] ->
@@ -671,61 +577,6 @@ let bench_aead ~fast =
   sample ~section:"aead" ~name:"ghash" ~qualifier:(string_of_int glen) ~unit_:"MB/s" mbs;
   row "  %-12s %9.1f           (keyed table, %d KiB buffers)" "ghash" mbs
     (glen / 1024)
-
-let bench_cells ~fast =
-  let n = if fast then 512 else 4096 in
-  let min_time = if fast then 0.02 else 0.2 in
-  let jobs = cell_jobs n in
-  header "Batch cell encryption, %d cells of ~60 bytes (cells/s)" n;
-  row "  %-20s %12s %12s %12s %10s" "scheme" "1 domain" "2 domains" "4 domains"
-    "speedup";
-  List.iter
-    (fun (name, scheme) ->
-      let rates =
-        List.map
-          (fun domains ->
-            let pool = Pool.create ~domains () in
-            Fun.protect
-              ~finally:(fun () -> Pool.shutdown pool)
-              (fun () ->
-                let s =
-                  time_per_call ~min_time (fun () ->
-                      Cell_scheme.encrypt_cells ~pool scheme jobs)
-                in
-                let cps = float_of_int n /. s in
-                sample ~section:"cells" ~name
-                  ~qualifier:(Printf.sprintf "%dd" domains)
-                  ~unit_:"cells/s" cps;
-                cps))
-          [ 1; 2; 4 ]
-      in
-      let speedup = List.nth rates 2 /. List.hd rates in
-      sample ~section:"cells" ~name ~qualifier:"speedup-4d" ~unit_:"x" speedup;
-      row "  %-20s %12.0f %12.0f %12.0f %9.2fx" name (List.hd rates)
-        (List.nth rates 1) (List.nth rates 2) speedup)
-    (cell_schemes ())
-
-let bench_bulk_load ~fast =
-  let n = if fast then 1_000 else 10_000 in
-  let min_time = if fast then 0.02 else 0.2 in
-  let entries = List.init n (fun i -> (Value.Text (Printf.sprintf "key-%08d" i), i)) in
-  let codec = Secdb_schemes.Index3.codec ~e:(Einst.cbc_zero_iv aes_fast) in
-  header "Index bulk load, %d entries under index3[cbc0(aes-fast)] (entries/s)" n;
-  List.iter
-    (fun domains ->
-      let pool = Pool.create ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          let s =
-            time_per_call ~min_time (fun () -> B.bulk_load ~pool ~id:9 ~codec entries)
-          in
-          let eps = float_of_int n /. s in
-          sample ~section:"bulk_load" ~name:"index3"
-            ~qualifier:(Printf.sprintf "%dd" domains)
-            ~unit_:"entries/s" eps;
-          row "  %d domain(s): %12.0f" domains eps))
-    [ 1; 4 ]
 
 (* The disabled observability path must be free: the same CTR workload
    with the switch off (the default above) and on should time the same,
@@ -896,7 +747,7 @@ let bench_server ~fast =
     rates;
   let speedup = List.assoc 4 rates /. List.assoc 1 rates in
   sample ~section:"server" ~name:"speedup-4s" ~qualifier:"4-shards/1-shard" ~unit_:"x" speedup;
-  row "  speedup-4s %.2fx (%d domain(s) recommended here)" speedup (Pool.recommended ())
+  row "  speedup-4s %.2fx (%d domain(s) recommended here)" speedup (Domain.recommended_domain_count ())
 
 let bench_repl ~fast =
   (* the replication pipeline: the primary's seal+append+fsync rate, then
@@ -1022,7 +873,7 @@ let write_json ~fast path =
   Buffer.add_string b (Printf.sprintf "  \"suite\": \"secdb-perf\",\n");
   Buffer.add_string b (Printf.sprintf "  \"fast\": %b,\n" fast);
   Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Pool.recommended ()));
+    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string b "  \"samples\": [\n";
   let entries =
     List.rev_map
@@ -1036,8 +887,8 @@ let write_json ~fast path =
   in
   Buffer.add_string b (String.concat ",\n" entries);
   Buffer.add_string b "\n  ],\n";
-  (* counter snapshot from the equivalence checks: how much work the bulk
-     paths actually did (cells, chunks, AEAD calls) alongside how fast *)
+  (* counter snapshot from the equivalence checks: how much work the
+     checked paths actually did (cells, AEAD calls) alongside how fast *)
   let counters =
     match !check_snapshot with Some s -> s.Secdb_obs.Metrics.counters | None -> []
   in
@@ -1066,8 +917,6 @@ let () =
   if not check_only then begin
     bench_modes ~fast;
     bench_aead ~fast;
-    bench_cells ~fast;
-    bench_bulk_load ~fast;
     bench_obs_overhead ~fast;
     bench_vfs_overhead ~fast;
     bench_net ~fast;

@@ -291,18 +291,16 @@ let sql_cmd =
     Term.(const run $ profile_arg $ master_arg $ script $ file)
 
 (* A fixed workload that touches every instrumented layer — pager cache,
-   blob store, AEAD (including a rejected tamper), the domain pool, batch
-   table encryption, an index walk, the shard map and the oplog — sized
-   so every counter value is a pure function of the code, never of
-   timing.  The cram suite pins the full text dump, which is what makes
-   the counters a regression gate and not just ops sugar. *)
+   blob store, AEAD (including a rejected tamper), table encryption, an
+   index walk, the shard map and the oplog — sized so every counter value
+   is a pure function of the code, never of timing.  The cram suite pins
+   the full text dump, which is what makes the counters a regression gate
+   and not just ops sugar. *)
 let stats_workload () =
   let module Metrics = Secdb_obs.Metrics in
-  let module Pool = Secdb_util.Pool in
   let module Pager = Secdb_storage.Pager in
   let module Blob = Secdb_storage.Blob_store in
   let key = Xbytes.of_hex "000102030405060708090a0b0c0d0e0f" in
-  let nonce_key = Xbytes.of_hex "ffeeddccbbaa99887766554433221100" in
   let aes = Secdb_cipher.Aes_fast.cipher ~key in
   let with_temp suffix f =
     let path = Filename.temp_file "secdb_stats" suffix in
@@ -333,55 +331,56 @@ let stats_workload () =
       | Ok _ | Error _ -> failwith "stats workload: blob roundtrip");
       Blob.delete blob id;
       Pager.close p);
-  (* AEAD cells through the domain pool, plus one tampered cell that the
-     authenticated decrypt must reject *)
+  (* AEAD cells, plus one tampered cell that the authenticated decrypt
+     must reject.  One counter nonce source serves every cell below, so no
+     nonce repeats under the key. *)
   let scheme =
-    Secdb_schemes.Fixed_cell.make_derived ~aead:(Secdb_aead.Eax.make aes) ~nonce_key ()
+    Secdb_schemes.Fixed_cell.make ~aead:(Secdb_aead.Eax.make aes)
+      ~nonce:(Secdb_aead.Nonce.counter ~size:16 ())
+      ()
   in
-  let jobs =
-    Array.init 64 (fun i ->
-        (Address.v ~table:1 ~row:i ~col:0, Printf.sprintf "cell-%02d" i))
+  let cells =
+    List.init 64 (fun i -> (Address.v ~table:1 ~row:i ~col:0, Printf.sprintf "cell-%02d" i))
   in
-  Pool.with_pool ~domains:2 (fun pool ->
-      let cts = Secdb_schemes.Cell_scheme.encrypt_cells ~pool scheme jobs in
-      let dec_jobs = Array.map2 (fun (a, _) ct -> (a, ct)) jobs cts in
-      let dec = Secdb_schemes.Cell_scheme.decrypt_cells ~pool scheme dec_jobs in
-      Array.iteri
-        (fun i r -> if r <> Ok (snd jobs.(i)) then failwith "stats workload: cell roundtrip")
-        dec;
-      let tampered = Xbytes.to_hex cts.(0) in
-      let flipped =
-        String.mapi (fun i c -> if i = 0 then (if c = '0' then '1' else '0') else c) tampered
-      in
-      (match Secdb_schemes.Cell_scheme.decrypt scheme (fst jobs.(0)) (Xbytes.of_hex flipped) with
-      | Error _ -> ()
-      | Ok _ -> failwith "stats workload: tamper was accepted");
-      (* batch table insert + column decrypt + a filtered scan *)
-      let schema =
-        Secdb_db.Schema.v ~table_name:"stats"
+  let cts = List.map (fun (addr, v) -> Secdb_schemes.Cell_scheme.encrypt scheme addr v) cells in
+  List.iter2
+    (fun (addr, v) ct ->
+      if Secdb_schemes.Cell_scheme.decrypt scheme addr ct <> Ok v then
+        failwith "stats workload: cell roundtrip")
+    cells cts;
+  let tampered = Xbytes.to_hex (List.hd cts) in
+  let flipped =
+    String.mapi (fun i c -> if i = 0 then (if c = '0' then '1' else '0') else c) tampered
+  in
+  (match Secdb_schemes.Cell_scheme.decrypt scheme (fst (List.hd cells)) (Xbytes.of_hex flipped) with
+  | Error _ -> ()
+  | Ok _ -> failwith "stats workload: tamper was accepted");
+  (* table insert + column read + a filtered scan *)
+  (let module Etable = Secdb_query.Encrypted_table in
+   let schema =
+     Secdb_db.Schema.v ~table_name:"stats"
+       [
+         Secdb_db.Schema.column ~protection:Secdb_db.Schema.Clear "id" Value.Kint;
+         Secdb_db.Schema.column "a" Value.Ktext;
+         Secdb_db.Schema.column "b" Value.Ktext;
+       ]
+   in
+   let table = Etable.create ~id:7 schema ~scheme:(Fun.const scheme) in
+   for i = 0 to 15 do
+     ignore
+       (Etable.insert table
           [
-            Secdb_db.Schema.column ~protection:Secdb_db.Schema.Clear "id" Value.Kint;
-            Secdb_db.Schema.column "a" Value.Ktext;
-            Secdb_db.Schema.column "b" Value.Ktext;
-          ]
-      in
-      let table =
-        Secdb_query.Encrypted_table.create ~id:7 schema ~scheme:(fun _ ->
-            Secdb_schemes.Fixed_cell.make_derived ~aead:(Secdb_aead.Eax.make aes) ~nonce_key ())
-      in
-      let rows =
-        List.init 16 (fun i ->
-            [
-              Value.Int (Int64.of_int i);
-              Value.Text (Printf.sprintf "a%02d" i);
-              Value.Text (Printf.sprintf "b%02d" i);
-            ])
-      in
-      Secdb_query.Encrypted_table.insert_many ~pool table rows;
-      ignore (Secdb_query.Encrypted_table.decrypt_column ~pool table ~col:2);
-      ignore
-        (Secdb_query.Encrypted_table.select table (fun values ->
-             match values.(0) with Value.Int i -> Int64.rem i 2L = 0L | _ -> false)));
+            Value.Int (Int64.of_int i);
+            Value.Text (Printf.sprintf "a%02d" i);
+            Value.Text (Printf.sprintf "b%02d" i);
+          ])
+   done;
+   for row = 0 to 15 do
+     ignore (Etable.get table ~row ~col:2)
+   done;
+   ignore
+     (Etable.select table (fun values ->
+          match values.(0) with Value.Int i -> Int64.rem i 2L = 0L | _ -> false)));
   (* index walk over an encrypted B+-tree *)
   let codec = Secdb_schemes.Index3.codec ~e:(Einst.cbc_zero_iv aes) in
   let entries = List.init 32 (fun i -> (Value.Text (Printf.sprintf "k%03d" i), i)) in
@@ -565,6 +564,16 @@ let net_addr_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (Secdb_net.Wire.addr_to_string a))
 
+(* An integer option whose values below [min] are usage errors (exit 2)
+   rather than an uncaught [Invalid_argument] from the library. *)
+let int_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | r -> r
+  in
+  Arg.conv (parse, Fmt.int)
+
 let net_addr_arg =
   Arg.(
     value
@@ -630,12 +639,12 @@ let serve_cmd =
   in
   let max_inflight =
     Arg.(
-      value & opt int 64
+      value & opt (int_at_least 1) 64
       & info [ "max-inflight" ] ~docv:"N" ~doc:"Per-connection pipelined-response cap.")
   in
   let shards =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0) 0
       & info [ "shards" ] ~docv:"N"
           ~doc:"Data-plane shard count; 0 picks the recommended domain count.")
   in
@@ -658,7 +667,7 @@ let serve_cmd =
   in
   let run profile master addr seed read_timeout max_inflight shards oplog replica_of db_seed =
     Secdb_obs.Obs.enable ();
-    let nshards = if shards = 0 then Secdb_util.Pool.recommended () else shards in
+    let nshards = if shards = 0 then Domain.recommended_domain_count () else shards in
     let auth_key = Secdb_net.Wire.auth_key_of_master master in
     let cfg = Secdb_net.Server.config ~auth_key ~read_timeout ~max_inflight ~shards:nshards () in
     let dbs = Array.init nshards (shard_db ~master ~profile ~db_seed) in

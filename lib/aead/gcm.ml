@@ -220,8 +220,8 @@ let make ?(tag_size = 16) (c : Secdb_cipher.Block.t) =
   if c.block_size <> 16 then invalid_arg "Gcm.make: 16-byte block required";
   if tag_size < 1 || tag_size > 16 then invalid_arg "Gcm.make: tag size out of range";
   (* per-make hoists: H, its multiplication tables, and the cipher's native
-     into-kernel.  No mutable scratch lives in the closure — parallel-safe
-     schemes share one AEAD across domains, so all working buffers below
+     into-kernel.  No mutable scratch lives in the closure — one AEAD
+     value may be shared across domains, so all working buffers below
      are per call (a handful of 16-byte buffers per message, not per
      block). *)
   let h = c.encrypt (String.make 16 '\000') in

@@ -6,8 +6,8 @@ open Secdb_util
    Key-only material — L, L*x^{-1}, the L*x^j power table, and the keyed
    PMAC for the header — is hoisted once per [make]; a message costs
    exactly its blockcipher calls plus a handful of per-call 16-byte
-   buffers (never per-make scratch: one AEAD value is shared across
-   domains by the parallel batch paths). *)
+   buffers (never per-make scratch: one AEAD value may be shared across
+   domains). *)
 
 let make ?tag_size (c : Secdb_cipher.Block.t) =
   let tag_size = Option.value tag_size ~default:c.block_size in

@@ -23,8 +23,8 @@ val verify : hash -> key:string -> tag:string -> string -> bool
 type keyed
 (** A key bound to a hash with the ipad/opad xor strings precomputed;
     immutable, safe to share across domains.  Lets long-lived users (a
-    net session MACing every request, derived-nonce schemes hashing
-    every cell address) skip the per-message key preprocessing. *)
+    net session MACing every request) skip the per-message key
+    preprocessing. *)
 
 val keyed : hash -> key:string -> keyed
 

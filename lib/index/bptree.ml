@@ -6,7 +6,6 @@ type ctx = { index_table : int; node_row : int; kind : kind }
 
 type codec = {
   codec_name : string;
-  pure : bool;
   encode : ctx -> value:Value.t -> table_row:int option -> string;
   decode : ctx -> string -> (Value.t * int option, string) result;
   decode_unverified : (ctx -> string -> (Value.t * int option, string) result) option;
@@ -17,7 +16,6 @@ exception Integrity of string
 let plain_codec =
   {
     codec_name = "plain";
-    pure = true;
     encode =
       (fun _ctx ~value ~table_row ->
         Secdb_db.Codec.frame
@@ -203,7 +201,7 @@ let take_chunks sizes l =
   in
   loop [] l sizes
 
-let bulk_load ?pool ?(order = 4) ~id ~codec entries =
+let bulk_load ?(order = 4) ~id ~codec entries =
   if order < 2 then invalid_arg "Bptree.bulk_load: order must be >= 2";
   let rec sorted = function
     | (a, _) :: ((b, _) :: _ as rest) ->
@@ -221,34 +219,17 @@ let bulk_load ?pool ?(order = 4) ~id ~codec entries =
       t.root <- root.row;
       t
   | entries ->
-      (* leaf level: (node, min value) pairs, chained left to right.  The
-         nodes are allocated first, sequentially, so row numbers never depend
-         on the pool; only the (pure) per-entry encodes fan out.  The flat
-         job array is filled and drained left to right, so a sequential run
-         and a parallel run place byte-identical payloads in every slot. *)
-      let leaf_chunks = take_chunks (chunk_sizes (List.length entries) ~cap:order) entries in
-      let chunked = List.map (fun chunk -> (alloc t Leaf, chunk)) leaf_chunks in
-      let jobs =
-        Array.of_list
-          (List.concat_map
-             (fun (n, chunk) -> List.map (fun (v, row) -> (n, v, row)) chunk)
-             chunked)
-      in
-      let encode_one (n, v, row) = encode_entry t n v (Some row) in
-      let encoded =
-        match pool with
-        | Some p when codec.pure && Pool.domains p > 1 -> Pool.map_array p encode_one jobs
-        | _ -> Array.map encode_one jobs
-      in
-      let next = ref 0 in
+      (* leaf level: (node, min value) pairs, chained left to right.  Each
+         entry is encoded once, leaf by leaf in entry order, so a stateful
+         codec (nonce counter, RNG) draws its state in input order. *)
       let leaves =
         List.map
-          (fun (n, chunk) ->
-            let k = List.length chunk in
-            n.payloads <- Array.sub encoded !next k;
-            next := !next + k;
+          (fun chunk ->
+            let n = alloc t Leaf in
+            n.payloads <-
+              Array.of_list (List.map (fun (v, row) -> encode_entry t n v (Some row)) chunk);
             (n, fst (List.hd chunk)))
-          chunked
+          (take_chunks (chunk_sizes (List.length entries) ~cap:order) entries)
       in
       List.iter2
         (fun (a, _) (b, _) -> a.next <- b.row)

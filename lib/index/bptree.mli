@@ -25,12 +25,6 @@ type ctx = { index_table : int; node_row : int; kind : kind }
 
 type codec = {
   codec_name : string;
-  pure : bool;
-      (** [encode] is a pure function of its arguments — no hidden state
-          (nonce counters, RNG draws, instrumentation), so applications may
-          run concurrently and in any order without changing a single output
-          byte.  Gates the parallel path of {!bulk_load}; impure codecs are
-          always encoded sequentially, in entry order. *)
   encode : ctx -> value:Secdb_db.Value.t -> table_row:int option -> string;
   decode : ctx -> string -> (Secdb_db.Value.t * int option, string) result;
   decode_unverified : (ctx -> string -> (Secdb_db.Value.t * int option, string) result) option;
@@ -65,7 +59,6 @@ val codec : t -> codec
 val insert : t -> Secdb_db.Value.t -> table_row:int -> unit
 
 val bulk_load :
-  ?pool:Secdb_util.Pool.t ->
   ?order:int ->
   id:int ->
   codec:codec ->
@@ -77,10 +70,8 @@ val bulk_load :
     on every split, this is the economical way to index an existing column
     (used by [Encdb.create_index]; measured by experiment EXP19).
 
-    With [pool], the leaf-level encodes (the bulk of the work) are fanned
-    out across domains when the codec is {!codec.pure}; node allocation and
-    tree structure stay sequential, so the resulting tree — rows, structure
-    and payload bytes — is identical to the pool-less build.
+    Leaf payloads are encoded in entry order, so a stateful codec (nonce
+    counter, RNG) given the same initial state builds the same bytes.
     @raise Invalid_argument if the input is not sorted. *)
 
 val find : t -> Secdb_db.Value.t -> int list

@@ -9,8 +9,6 @@ let wrap (c : Bptree.codec) =
   let wrapped =
     {
       Bptree.codec_name = c.Bptree.codec_name ^ "+counted";
-      (* the counters are unsynchronised mutable state *)
-      pure = false;
       encode =
         (fun ctx ~value ~table_row ->
           counters.encodes <- counters.encodes + 1;

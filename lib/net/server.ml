@@ -3,7 +3,6 @@ module Trace = Secdb_obs.Trace
 module Obs = Secdb_obs.Obs
 module Rng = Secdb_util.Rng
 module Xbytes = Secdb_util.Xbytes
-module Pool = Secdb_util.Pool
 module Shard = Secdb_db.Shard
 module Ast = Secdb_sql.Ast
 module Parser = Secdb_sql.Parser
@@ -21,7 +20,7 @@ type config = {
 
 let config ?(max_frame = Wire.default_max_frame) ?(max_inflight = 64) ?(read_timeout = 30.)
     ?(write_timeout = 30.) ?shards ~auth_key () =
-  let shards = match shards with Some n -> n | None -> Pool.recommended () in
+  let shards = match shards with Some n -> n | None -> Domain.recommended_domain_count () in
   if String.length auth_key < 16 then invalid_arg "Server.config: auth key shorter than 16 bytes";
   if max_frame < 64 then invalid_arg "Server.config: max_frame too small for a handshake";
   if max_inflight < 1 then invalid_arg "Server.config: max_inflight must be positive";

@@ -33,7 +33,7 @@ type config = {
   max_inflight : int;  (** per-connection response-queue bound (default 64) *)
   read_timeout : float;  (** seconds a connection may sit idle (default 30) *)
   write_timeout : float;  (** seconds a single frame write may take (default 30) *)
-  shards : int;  (** data-plane shard count (default {!Secdb_util.Pool.recommended}) *)
+  shards : int;  (** data-plane shard count (default [Domain.recommended_domain_count ()]) *)
 }
 
 val config :

@@ -3,7 +3,7 @@
 
    Counters are striped: each counter owns a small array of atomics and an
    increment lands in the slot indexed by the calling domain's id, so
-   parallel workloads (the Pool domains) never contend on one cache line
+   parallel workloads (the shard executor domains) never contend on one cache line
    and never lose counts.  Reads sum the stripes, which makes [value] a
    racy-but-monotone snapshot — exactly what a monitoring read wants.
 

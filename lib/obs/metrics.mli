@@ -3,8 +3,8 @@
 
     Mutating operations are no-ops (and allocation-free) while {!Obs.on}
     is false.  Counters are striped across per-domain atomic slots so
-    parallel increments from {!Secdb_util.Pool} domains neither contend
-    nor lose counts; reads sum the stripes. *)
+    parallel increments from the server's shard executor domains neither
+    contend nor lose counts; reads sum the stripes. *)
 
 (** {1 Counters} *)
 

@@ -61,72 +61,6 @@ let insert t values =
   in
   Vec.push t.rows (Some (Array.of_list cells))
 
-let insert_many ?pool t rows =
-  List.iter (check_row_arity t) rows;
-  let ncols = Schema.ncols t.schema in
-  let row0 = Vec.length t.rows in
-  (* flatten the batch into per-column cell jobs so each column's scheme
-     encrypts its cells in one (possibly parallel) sweep; job order within a
-     column is row order, which keeps stateful (non-parallel-safe) schemes
-     on exactly the byte sequence the per-row insert loop would produce *)
-  let rows_arr = Array.of_list (List.map Array.of_list rows) in
-  let nrows_new = Array.length rows_arr in
-  let cells = Array.make_matrix nrows_new ncols (Clear Value.Null) in
-  for col = 0 to ncols - 1 do
-    if is_protected t col then begin
-      let jobs =
-        Array.init nrows_new (fun i ->
-            ( Address.v ~table:t.id ~row:(row0 + i) ~col,
-              Value.encode rows_arr.(i).(col) ))
-      in
-      Metrics.add m_cells_encrypted (Array.length jobs);
-      let cts = Secdb_schemes.Cell_scheme.encrypt_cells ?pool t.schemes.(col) jobs in
-      for i = 0 to nrows_new - 1 do
-        cells.(i).(col) <- Cipher cts.(i)
-      done
-    end
-    else
-      for i = 0 to nrows_new - 1 do
-        cells.(i).(col) <- Clear rows_arr.(i).(col)
-      done
-  done;
-  Array.iter (fun row_cells -> ignore (Vec.push t.rows (Some row_cells))) cells
-
-let decrypt_column ?pool t ~col =
-  let n = nrows t in
-  let live = Array.init n (fun row -> Vec.get t.rows row) in
-  Array.mapi
-    (fun row cells ->
-      match cells with
-      | None -> None
-      | Some cells -> Some (row, cells.(col)))
-    live
-  |> fun tagged ->
-  (* decrypt the protected cells in one batch sweep, clear cells inline *)
-  let jobs =
-    Array.of_list
-      (List.filter_map
-         (function
-           | Some (row, Cipher ct) -> Some (Address.v ~table:t.id ~row ~col, ct)
-           | _ -> None)
-         (Array.to_list tagged))
-  in
-  Metrics.add m_cells_decrypted (Array.length jobs);
-  let decs = Secdb_schemes.Cell_scheme.decrypt_cells ?pool t.schemes.(col) jobs in
-  let next = ref 0 in
-  Array.map
-    (function
-      | None -> None
-      | Some (_, Clear v) -> Some (Ok v)
-      | Some (_, Cipher _) ->
-          let r = decs.(!next) in
-          incr next;
-          Some
-            (match r with
-            | Error e -> Error e
-            | Ok plain -> Value.decode plain))
-    tagged
-
 let live_cells t row op =
   match Vec.get t.rows row with
   | Some cells -> cells

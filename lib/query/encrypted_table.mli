@@ -24,25 +24,6 @@ val nrows : t -> int
 val insert : t -> Secdb_db.Value.t list -> int
 (** Type-checks against the schema, encrypts protected cells, appends. *)
 
-val insert_many : ?pool:Secdb_util.Pool.t -> t -> Secdb_db.Value.t list list -> unit
-(** Whole-table encrypt: type-check every row, then encrypt each protected
-    column's cells in one batch sweep and append the rows in order.  With a
-    pool, columns whose scheme is [parallel_safe] fan their cells out
-    across domains; the stored bytes are identical to a sequential
-    [insert] loop either way (cell addresses are assigned before
-    encryption, and parallel-safe schemes are order-independent by
-    definition).  Raises before any row is appended if validation fails. *)
-
-val decrypt_column :
-  ?pool:Secdb_util.Pool.t ->
-  t ->
-  col:int ->
-  (Secdb_db.Value.t, string) result option array
-(** Whole-column decrypt (and integrity check): index [row] holds [None]
-    for tombstoned rows, [Some (Error _)] for cells failing the scheme's
-    check.  Protected cells are decrypted in one batch sweep, parallel
-    when the pool and scheme allow, with results in row order. *)
-
 val get : t -> row:int -> col:int -> (Secdb_db.Value.t, string) result
 (** Decrypts (and integrity-checks) protected cells. *)
 

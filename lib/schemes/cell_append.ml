@@ -4,9 +4,6 @@ let make ~(e : Einst.t) ~(mu : Secdb_db.Address.mu) =
   {
     Cell_scheme.name = Printf.sprintf "append-scheme[%s,%s]" e.name mu.name;
     deterministic = e.deterministic;
-    (* E and mu close over no mutable state, so batch encryption may fan
-       cells out across domains *)
-    parallel_safe = true;
     encrypt = (fun addr v -> e.enc (v ^ mu.digest addr));
     decrypt =
       (fun addr ct ->

@@ -1,7 +1,6 @@
 type t = {
   name : string;
   deterministic : bool;
-  parallel_safe : bool;
   encrypt : Secdb_db.Address.t -> string -> string;
   decrypt : Secdb_db.Address.t -> string -> (string, string) result;
 }
@@ -9,18 +8,3 @@ type t = {
 let encrypt t addr v = t.encrypt addr v
 let decrypt t addr c = t.decrypt addr c
 let roundtrips t addr v = decrypt t addr (encrypt t addr v) = Ok v
-
-let use_pool pool t =
-  match pool with
-  | Some p when t.parallel_safe && Secdb_util.Pool.domains p > 1 -> Some p
-  | _ -> None
-
-let encrypt_cells ?pool t cells =
-  match use_pool pool t with
-  | Some p -> Secdb_util.Pool.map_array p (fun (addr, v) -> t.encrypt addr v) cells
-  | None -> Array.map (fun (addr, v) -> t.encrypt addr v) cells
-
-let decrypt_cells ?pool t cells =
-  match use_pool pool t with
-  | Some p -> Secdb_util.Pool.map_array p (fun (addr, ct) -> t.decrypt addr ct) cells
-  | None -> Array.map (fun (addr, ct) -> t.decrypt addr ct) cells

@@ -12,14 +12,6 @@ type t = {
   deterministic : bool;
       (** ciphertexts of equal (value, address) pairs coincide — assumption
           (3) of the analysed scheme, broken on purpose by the fix *)
-  parallel_safe : bool;
-      (** the [encrypt]/[decrypt] closures are pure in the sense of the
-          batch layer: no shared mutable state, so concurrent invocations
-          from several domains produce exactly the bytes the sequential
-          order would.  True for the address-keyed schemes (append, xor,
-          SIV, derived-nonce AEAD); false whenever a closure draws from a
-          stateful nonce or RNG source, in which case the batch entry
-          points fall back to sequential execution. *)
   encrypt : Secdb_db.Address.t -> string -> string;
   decrypt : Secdb_db.Address.t -> string -> (string, string) result;
 }
@@ -30,20 +22,3 @@ val decrypt : t -> Secdb_db.Address.t -> string -> (string, string) result
 val roundtrips : t -> Secdb_db.Address.t -> string -> bool
 (** [decrypt a (encrypt a v) = Ok v] — basic sanity used by tests. *)
 
-(** {2 Batch entry points}
-
-    Whole-column/whole-table operations for the bulk-encryption engine.
-    With a pool and a [parallel_safe] scheme the cells are fanned out
-    across domains; output arrays are index-aligned with the input and
-    byte-identical to the sequential path (enforced by the bulk property
-    suite).  Without a pool — or for schemes with stateful closures — they
-    degrade to a plain sequential map. *)
-
-val encrypt_cells :
-  ?pool:Secdb_util.Pool.t -> t -> (Secdb_db.Address.t * string) array -> string array
-
-val decrypt_cells :
-  ?pool:Secdb_util.Pool.t ->
-  t ->
-  (Secdb_db.Address.t * string) array ->
-  (string, string) result array

@@ -12,7 +12,6 @@ let make ~(e : Einst.t) ~(mu : Secdb_db.Address.mu) ?(strip_zero_extension = fal
   {
     Cell_scheme.name = Printf.sprintf "xor-scheme[%s,%s]" e.name mu.name;
     deterministic = e.deterministic;
-    parallel_safe = true;
     encrypt = (fun addr v -> e.enc (Xbytes.xor v (mu.digest addr)));
     decrypt =
       (fun addr ct ->

@@ -2,15 +2,13 @@ module Aead = Secdb_aead.Aead
 
 let ad_of_address addr = Secdb_db.Address.encode addr
 
-let scheme ?(ad_of = ad_of_address) ~(aead : Aead.t) ~deterministic ~parallel_safe
-    ~(nonce_for : Secdb_db.Address.t -> string) () =
+let make ?(ad_of = ad_of_address) ~(aead : Aead.t) ~(nonce : Secdb_aead.Nonce.t) () =
   {
     Cell_scheme.name = Printf.sprintf "fixed-cell[%s]" aead.Aead.name;
-    deterministic;
-    parallel_safe;
+    deterministic = false;
     encrypt =
       (fun addr v ->
-        let n = nonce_for addr in
+        let n = nonce () in
         let ct, tag = Aead.encrypt aead ~nonce:n ~ad:(ad_of addr) v in
         Secdb_db.Codec.frame [ n; ct; tag ]);
     decrypt =
@@ -22,28 +20,5 @@ let scheme ?(ad_of = ad_of_address) ~(aead : Aead.t) ~deterministic ~parallel_sa
             | Ok v -> Ok v
             | Error Aead.Invalid -> Error "fixed-cell: invalid"));
   }
-
-let make ?ad_of ~(aead : Aead.t) ~(nonce : Secdb_aead.Nonce.t) () =
-  (* a Nonce.t is an opaque stateful source: drawing from it is inherently
-     order-dependent, so the scheme must not be fanned out across domains *)
-  scheme ?ad_of ~aead ~deterministic:false ~parallel_safe:false
-    ~nonce_for:(fun _ -> nonce ()) ()
-
-let derived_nonce ~key ~size addr =
-  if size <= 0 || size > 32 then invalid_arg "Fixed_cell.derived_nonce: bad size";
-  Secdb_util.Xbytes.take size
-    (Secdb_hash.Hmac.mac Secdb_hash.Hmac.sha256 ~key (Secdb_db.Address.encode addr))
-
-let make_derived ?ad_of ~(aead : Aead.t) ~nonce_key () =
-  let size = aead.Aead.nonce_size in
-  if size <= 0 || size > 32 then invalid_arg "Fixed_cell.derived_nonce: bad size";
-  (* keyed HMAC hoisted across the batch loops: per-cell nonce derivation
-     skips the key preprocessing (byte-identical to [derived_nonce]) *)
-  let keyed = Secdb_hash.Hmac.keyed Secdb_hash.Hmac.sha256 ~key:nonce_key in
-  scheme ?ad_of ~aead ~deterministic:true ~parallel_safe:true
-    ~nonce_for:(fun addr ->
-      Secdb_util.Xbytes.take size
-        (Secdb_hash.Hmac.mac_keyed keyed (Secdb_db.Address.encode addr)))
-    ()
 
 let storage_overhead ~(aead : Aead.t) = Aead.stored_overhead aead + 12

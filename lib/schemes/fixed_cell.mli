@@ -29,31 +29,9 @@ val make :
     deterministic encryption; never weaken [ad_of] with a randomised
     AEAD.
 
-    Because [nonce] is an opaque stateful source, the resulting scheme is
-    {e not} [parallel_safe]: batch entry points run it sequentially.  Use
-    {!make_derived} when bulk encryption across domains is wanted. *)
-
-val make_derived :
-  ?ad_of:(Secdb_db.Address.t -> string) ->
-  aead:Secdb_aead.Aead.t ->
-  nonce_key:string ->
-  unit ->
-  Cell_scheme.t
-(** Like {!make}, but the nonce is {e derived from the cell address}:
-    [N = HMAC-SHA256(nonce_key, encode addr)] truncated to the AEAD's nonce
-    size.  Nonces are then data-dependent rather than order-dependent, so
-    parallel batch encryption produces bytes identical to the sequential
-    path and the scheme is [parallel_safe].
-
-    The trade: re-encrypting the {e same} address reuses its nonce, so the
-    scheme is deterministic per (address, value) and must only be used for
-    write-once loads (whole-table encryption, bulk index builds) or with a
-    fresh [nonce_key] per encryption epoch — never for in-place updates
-    under a fixed key.  [nonce_key] must be independent of the AEAD key. *)
-
-val derived_nonce : key:string -> size:int -> Secdb_db.Address.t -> string
-(** The nonce derivation used by {!make_derived}, exposed for tests and for
-    index-side reuse.  @raise Invalid_argument if [size] is not in [1..32]. *)
+    Each encryption draws its nonce from [nonce], never from the address,
+    so with a counter or random source re-encrypting a cell in place never
+    repeats a nonce under the same key. *)
 
 val storage_overhead : aead:Secdb_aead.Aead.t -> int
 (** Fixed per-cell storage cost in bytes beyond the plaintext length:

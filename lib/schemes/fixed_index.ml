@@ -14,7 +14,6 @@ let codec ~(aead : Aead.t) ~(nonce : Secdb_aead.Nonce.t) ~indexed_table ~indexed
   let ad = associated_data ~indexed_table ~indexed_col in
   {
     Bptree.codec_name = Printf.sprintf "fixed-index[%s]" aead.Aead.name;
-    pure = false (* stateful nonce source *);
     encode =
       (fun ctx ~value ~table_row ->
         let reft = match table_row with Some r -> be8 r | None -> "" in

@@ -46,7 +46,6 @@ let codec ~(e : Einst.t) ~mac_cipher ?(rand_len = 8) ~rng ~indexed_table ~indexe
   in
   {
     Bptree.codec_name = Printf.sprintf "index12[%s,omac(%s)]" e.name mac_cipher.name;
-    pure = false (* draws from the rng *);
     encode =
       (fun ctx ~value ~table_row ->
         let v = Value.encode value in

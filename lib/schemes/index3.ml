@@ -30,7 +30,6 @@ let codec ~(e : Einst.t) =
   in
   {
     Bptree.codec_name = Printf.sprintf "index3[%s]" e.name;
-    pure = true (* deterministic encryption, no per-call state *);
     encode =
       (fun ctx ~value ~table_row ->
         let v = Value.encode value in

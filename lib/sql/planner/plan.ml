@@ -59,15 +59,24 @@ let rank = function
 
 let compare a b = Stdlib.compare (rank a) (rank b)
 
-(* short labels for bench qualifiers and latency histograms *)
+(* short labels for bench qualifiers and latency histograms.  Scan labels
+   name only the access kind, because the cost model reads the per-kind
+   histograms; join labels also carry the outer access path and its
+   column, so that no two candidates of one join share a histogram. *)
 let name = function
   | Scan { access = Seq_scan; _ } -> "seq"
   | Scan { access = Index_probe _; _ } -> "index"
   | Scan { access = Bucket_scan _; _ } -> "bucket"
-  | Join { strategy = Loop_join; swapped; _ } ->
-      if swapped then "loop-join-rev" else "loop-join"
-  | Join { strategy = Index_loop_join; swapped; _ } ->
-      if swapped then "index-loop-join-rev" else "index-loop-join"
+  | Join { strategy; swapped; outer_access; _ } ->
+      let outer =
+        match outer_access with
+        | Seq_scan -> "seq"
+        | Index_probe { col; _ } -> "index:" ^ col
+        | Bucket_scan { col; _ } -> "bucket:" ^ col
+      in
+      (match strategy with Loop_join -> "loop-join" | Index_loop_join -> "index-loop-join")
+      ^ (if swapped then "-rev" else "")
+      ^ "@" ^ outer
 
 let pp_bound none ppf v = Fmt.option ~none:(Fmt.any none) Value.pp ppf v
 

@@ -50,9 +50,12 @@ val compare : t -> t -> int
     name) — deterministic and seed-independent by construction. *)
 
 val name : t -> string
-(** Short stable label ("seq", "index", "bucket", "loop-join",
-    "index-loop-join", plus a "-rev" suffix for swapped joins) — bench
-    qualifiers and the per-plan latency histograms. *)
+(** Short stable label — bench qualifiers and the per-plan latency
+    histograms.  Scans are "seq", "index" or "bucket" (the cost model
+    reads those histograms).  Joins are "loop-join" or "index-loop-join",
+    plus "-rev" when swapped, then "@" and the outer access path: "seq",
+    "index:COL" or "bucket:COL", e.g. ["index-loop-join@bucket:total"].
+    Join labels are distinct across the candidates of one query. *)
 
 val pp_access : Format.formatter -> access -> unit
 

@@ -4,16 +4,18 @@ module Etable = Secdb_query.Encrypted_table
 module Encdb = Secdb.Encdb
 module Imap = Map.Make (Int)
 module Smap = Map.Make (String)
+module Vmap = Map.Make (Value)
+module Iset = Set.Make (Int)
 
-(* [keys.(c)] is [Some m] when column [c] is indexed: [m] maps an encoded
-   value to the rows holding it, in the order the index would return them
-   — ascending rows after a rebuild, appended on insert/update.  All maps
+(* [keys.(c)] is [Some m] when column [c] is indexed: [m] maps each value
+   (ordered by {!Value.compare}) to the set of rows holding it.  The engine
+   sorts candidates by row id, so no index order needs mirroring.  All maps
    are immutable, so publishing a snapshot is one atomic store and value
    arrays are copied before mutation. *)
 type table_snap = {
   schema : Schema.t;
   rows : Value.t array Imap.t;
-  keys : int list Smap.t option array;
+  keys : Iset.t Vmap.t option array;
 }
 
 type t = table_snap Smap.t
@@ -23,58 +25,37 @@ let table t name = Smap.find_opt name t
 let schema ts = ts.schema
 
 let all_rows ts = Imap.bindings ts.rows
+let with_rows ts rows = List.map (fun r -> (r, Imap.find r ts.rows)) (Iset.elements rows)
 
 let index_probe ts ~col v =
   match ts.keys.(col) with
   | None -> None
-  | Some m ->
-      let rows = Option.value (Smap.find_opt (Value.encode v) m) ~default:[] in
-      Some (List.map (fun r -> (r, Imap.find r ts.rows)) rows)
+  | Some m -> Some (with_rows ts (Option.value (Vmap.find_opt v m) ~default:Iset.empty))
 
-(* the candidate set an INDEX SCAN produces for an inclusive range: value
-   ascending, duplicates in index order.  Encoded keys are decoded back to
-   values for the comparison — {!Value.encode} is injective, so each
-   distinct value is exactly one key. *)
+(* a bounded walk: start at the first value >= [lo], stop past [hi] *)
 let index_range ts ~col ~lo ~hi =
   match ts.keys.(col) with
   | None -> None
   | Some m ->
-      let matching =
-        Smap.fold
-          (fun k rows acc ->
-            match Value.decode k with
-            | Error _ -> acc
-            | Ok v ->
-                if Value.compare lo v <= 0 && Value.compare v hi <= 0 then (v, rows) :: acc
-                else acc)
-          m []
-        |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
-      in
       Some
-        (List.concat_map
-           (fun (_, rows) -> List.map (fun r -> (r, Imap.find r ts.rows)) rows)
-           matching)
+        (Vmap.to_seq_from lo m
+        |> Seq.take_while (fun (v, _) -> Value.compare v hi <= 0)
+        |> Seq.concat_map (fun (_, rows) -> List.to_seq (with_rows ts rows))
+        |> List.of_seq)
 
-(* rebuild one column's key lists from the rows, ascending row order —
-   exactly the order Encdb.create_index bulk-loads (stable sort over an
-   ascending scan keeps duplicates row-ascending) *)
-let build_keys rows col =
-  Smap.map List.rev
-    (Imap.fold
-       (fun row vs m ->
-         let k = Value.encode vs.(col) in
-         Smap.add k (row :: Option.value (Smap.find_opt k m) ~default:[]) m)
-       rows Smap.empty)
+let add_key m v row =
+  Vmap.update v (fun rows -> Some (Iset.add row (Option.value rows ~default:Iset.empty))) m
 
-let drop_key m k row =
-  match Smap.find_opt k m with
-  | None -> m
-  | Some rows -> (
-      match List.filter (fun r -> r <> row) rows with
-      | [] -> Smap.remove k m
-      | rows -> Smap.add k rows m)
+let drop_key m v row =
+  Vmap.update v
+    (function
+      | None -> None
+      | Some rows ->
+          let rows = Iset.remove row rows in
+          if Iset.is_empty rows then None else Some rows)
+    m
 
-let append_key m k row = Smap.add k (Option.value (Smap.find_opt k m) ~default:[] @ [ row ]) m
+let build_keys rows col = Imap.fold (fun row vs m -> add_key m vs.(col) row) rows Vmap.empty
 
 let with_table t name f =
   match Smap.find_opt name t with None -> t | Some ts -> Smap.add name (f ts) t
@@ -105,7 +86,7 @@ let apply t (change : Encdb.change) =
           let keys =
             Array.mapi
               (fun ci m ->
-                Option.map (fun m -> append_key m (Value.encode vs.(ci)) row) m)
+                Option.map (fun m -> add_key m vs.(ci) row) m)
               ts.keys
           in
           { ts with rows = Imap.add row vs ts.rows; keys })
@@ -119,11 +100,8 @@ let apply t (change : Encdb.change) =
                 match ts.keys.(ci) with
                 | None -> ts.keys
                 | Some m ->
-                    (* mirror the index update: the entry moves to the
-                       rightmost position among its new duplicates *)
-                    let m = drop_key m (Value.encode old.(ci)) row in
                     let keys = Array.copy ts.keys in
-                    keys.(ci) <- Some (append_key m (Value.encode value) row);
+                    keys.(ci) <- Some (add_key (drop_key m old.(ci) row) value row);
                     keys
               in
               { ts with rows = Imap.add row vs ts.rows; keys }
@@ -135,7 +113,7 @@ let apply t (change : Encdb.change) =
           | Some old ->
               let keys =
                 Array.mapi
-                  (fun ci m -> Option.map (fun m -> drop_key m (Value.encode old.(ci)) row) m)
+                  (fun ci m -> Option.map (fun m -> drop_key m old.(ci) row) m)
                   ts.keys
               in
               { ts with rows = Imap.remove row ts.rows; keys })

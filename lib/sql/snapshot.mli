@@ -7,12 +7,11 @@
     a reader can observe a slightly stale (but internally consistent)
     state, never a torn one.
 
-    The snapshot mirrors the engine's visible ordering exactly: full scans
-    enumerate live rows in ascending row order (like
-    {!Secdb_query.Encrypted_table.select}), and an indexed column's
-    duplicate lists keep index order — ascending rows after a rebuild,
-    append-to-the-right on insert and update — so a query answered here is
-    byte-identical to the same query run through the executor. *)
+    Each indexed column maps a value to the set of rows holding it.  The
+    engine sorts every candidate set by row id before the shared
+    filter/sort/limit tail, so the snapshot keeps no index order, and a
+    query answered here is byte-identical to the same query run through
+    the executor. *)
 
 type table_snap
 type t
@@ -38,7 +37,8 @@ val all_rows : table_snap -> (int * Secdb_db.Value.t array) list
 val index_probe :
   table_snap -> col:int -> Secdb_db.Value.t -> (int * Secdb_db.Value.t array) list option
 (** [None] when the column has no index (caller falls back to
-    {!all_rows}); otherwise the rows equal to the probe, in index order. *)
+    {!all_rows}); otherwise the rows equal to the probe, ascending row
+    order. *)
 
 val index_range :
   table_snap ->
@@ -47,6 +47,7 @@ val index_range :
   hi:Secdb_db.Value.t ->
   (int * Secdb_db.Value.t array) list option
 (** [None] when the column has no exact index; otherwise the rows with
-    [lo <= v <= hi] in the order an INDEX SCAN yields them — value
-    ascending, duplicates in index order.  (Bucketized range indexes need
-    no snapshot mirror: their candidate order is {!all_rows}'s.) *)
+    [lo <= v <= hi] under {!Secdb_db.Value.compare}: value ascending, then
+    row ascending.  The walk starts at [lo] and stops past [hi].
+    (Bucketized range indexes need no snapshot state: their candidates
+    are {!all_rows} filtered by the engine.) *)

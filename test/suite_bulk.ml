@@ -1,21 +1,10 @@
-(* The bulk-encryption engine's equivalence obligations:
-
-   - the [Block.into] kernels agree byte-for-byte with the [string -> string]
-     reference closures, at arbitrary buffer offsets, for every cipher;
-   - every batch entry point (cells, table, index bulk load) produces output
-     byte-identical to its sequential counterpart, pool or no pool;
-   - the pool itself preserves order and propagates exceptions. *)
+(* The [Block.into] kernels agree byte-for-byte with the
+   [string -> string] reference closures, at arbitrary buffer offsets, for
+   every cipher, and every mode produces the same bytes on both paths. *)
 
 open Secdb_util
 module Block = Secdb_cipher.Block
 module Mode = Secdb_modes.Mode
-module Value = Secdb_db.Value
-module Schema = Secdb_db.Schema
-module Address = Secdb_db.Address
-module Cell_scheme = Secdb_schemes.Cell_scheme
-module Fixed_cell = Secdb_schemes.Fixed_cell
-module B = Secdb_index.Bptree
-module Etable = Secdb_query.Encrypted_table
 
 let key = Xbytes.of_hex "000102030405060708090a0b0c0d0e0f"
 let key_mac = Xbytes.of_hex "ffeeddccbbaa99887766554433221100"
@@ -107,188 +96,11 @@ let test_modes_agree_across_paths () =
         [ 1; 2; 7 ])
     ciphers
 
-(* --- pool semantics ---------------------------------------------------- *)
-
-let test_pool_order_and_results () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let input = Array.init 1000 (fun i -> i) in
-      let out = Pool.map_array pool (fun x -> x * x) input in
-      Alcotest.(check (array int)) "order preserved" (Array.map (fun x -> x * x) input) out;
-      let out1 = Pool.mapi_array pool (fun i x -> i + x) input in
-      Alcotest.(check (array int)) "mapi indices" (Array.map (fun x -> 2 * x) input) out1;
-      Alcotest.(check (list int)) "map_list" [ 2; 4; 6 ] (Pool.map_list pool (( * ) 2) [ 1; 2; 3 ]);
-      Alcotest.(check (array int)) "empty input" [||] (Pool.map_array pool (fun x -> x) [||]);
-      (* tiny chunks exercise the self-scheduling cursor *)
-      let out2 = Pool.map_array ~chunk:1 pool (fun x -> x + 1) input in
-      Alcotest.(check (array int)) "chunk=1" (Array.map (( + ) 1) input) out2)
-
-let test_pool_exceptions () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
-          ignore
-            (Pool.map_array pool
-               (fun x -> if x = 37 then failwith "boom" else x)
-               (Array.init 100 (fun i -> i))));
-      (* the pool survives a failed batch *)
-      Alcotest.(check (array int)) "pool reusable after failure" [| 2; 4 |]
-        (Pool.map_array pool (( * ) 2) [| 1; 2 |]))
-
-let test_pool_lifecycle () =
-  let pool = Pool.create ~domains:3 () in
-  Alcotest.(check int) "domains" 3 (Pool.domains pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "create rejects 0" (Invalid_argument "Pool.create: domains must be >= 1")
-    (fun () -> ignore (Pool.create ~domains:0 ()));
-  (* a 1-domain pool runs everything in the caller *)
-  Pool.with_pool ~domains:1 (fun p ->
-      Alcotest.(check (array int)) "degenerate pool" [| 1; 4; 9 |]
-        (Pool.map_array p (fun x -> x * x) [| 1; 2; 3 |]))
-
-(* --- batch == sequential for every scheme ------------------------------ *)
-
-let mu = Address.mu_sha1 ~width:16
-
-let all_schemes () =
-  let e = Secdb_schemes.Einst.cbc_zero_iv aes_fast in
-  let eax = Secdb_aead.Eax.make aes_fast in
-  [
-    Secdb_schemes.Cell_append.make ~e ~mu;
-    Secdb_schemes.Cell_xor.make ~e ~mu ~strip_zero_extension:true
-      ~validate:(fun _ -> true) ();
-    Fixed_cell.make_derived ~aead:eax ~nonce_key:key_mac ();
-    (* stateful nonce: not parallel_safe; the batch path must fall back to
-       the sequential order and still match a hand-rolled loop *)
-    Fixed_cell.make ~aead:eax
-      ~nonce:(Secdb_aead.Nonce.counter ~size:eax.Secdb_aead.Aead.nonce_size ())
-      ();
-  ]
-
-let test_cells_parallel_equals_sequential () =
-  let jobs =
-    Array.init 129 (fun i ->
-        (Address.v ~table:2 ~row:i ~col:1, Printf.sprintf "value-%04d-%s" i (String.make (i mod 61) 'x')))
-  in
-  Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun (s : Cell_scheme.t) ->
-          let seq = Cell_scheme.encrypt_cells s jobs in
-          Alcotest.(check int) (s.name ^ " length") (Array.length jobs) (Array.length seq);
-          let dec =
-            Cell_scheme.decrypt_cells ~pool s
-              (Array.mapi (fun i ct -> (fst jobs.(i), ct)) seq)
-          in
-          Array.iteri
-            (fun i r ->
-              match r with
-              | Ok v -> Alcotest.(check string) (s.name ^ " roundtrip") (snd jobs.(i)) v
-              | Error e -> Alcotest.fail (s.name ^ ": " ^ e))
-            dec;
-          if s.parallel_safe then begin
-            let par = Cell_scheme.encrypt_cells ~pool s jobs in
-            Array.iteri
-              (fun i ct ->
-                Alcotest.(check string) (s.name ^ " parallel byte-identical") (hex seq.(i)) (hex ct))
-              par
-          end)
-        (all_schemes ()))
-
-let test_derived_nonce () =
-  let a1 = Address.v ~table:1 ~row:0 ~col:0 and a2 = Address.v ~table:1 ~row:1 ~col:0 in
-  let n1 = Fixed_cell.derived_nonce ~key:key_mac ~size:16 a1 in
-  Alcotest.(check int) "size" 16 (String.length n1);
-  Alcotest.(check string) "deterministic" (hex n1) (hex (Fixed_cell.derived_nonce ~key:key_mac ~size:16 a1));
-  Alcotest.(check bool) "address-dependent" false (n1 = Fixed_cell.derived_nonce ~key:key_mac ~size:16 a2);
-  Alcotest.(check bool) "key-dependent" false (n1 = Fixed_cell.derived_nonce ~key:key ~size:16 a1);
-  Alcotest.check_raises "size check" (Invalid_argument "Fixed_cell.derived_nonce: bad size")
-    (fun () -> ignore (Fixed_cell.derived_nonce ~key ~size:0 a1))
-
-let test_table_batch () =
-  let schema =
-    Schema.v ~table_name:"bulk"
-      [
-        Schema.column ~protection:Schema.Clear "id" Value.Kint;
-        Schema.column "v" Value.Ktext;
-      ]
-  in
-  let scheme _ = Fixed_cell.make_derived ~aead:(Secdb_aead.Eax.make aes_fast) ~nonce_key:key_mac () in
-  let rows =
-    List.init 67 (fun i ->
-        [ Value.Int (Int64.of_int i); Value.Text (Printf.sprintf "cell %d" i) ])
-  in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let a = Etable.create ~id:1 schema ~scheme in
-      List.iter (fun r -> ignore (Etable.insert a r)) rows;
-      let b = Etable.create ~id:1 schema ~scheme in
-      Etable.insert_many ~pool b rows;
-      Alcotest.(check int) "row count" (Etable.nrows a) (Etable.nrows b);
-      for row = 0 to Etable.nrows a - 1 do
-        Alcotest.(check (option string)) "stored bytes identical"
-          (Etable.raw_ciphertext a ~row ~col:1)
-          (Etable.raw_ciphertext b ~row ~col:1)
-      done;
-      Etable.delete_row b ~row:3;
-      let dec = Etable.decrypt_column ~pool b ~col:1 in
-      Array.iteri
-        (fun row r ->
-          match r with
-          | None -> Alcotest.(check int) "only the tombstone" 3 row
-          | Some (Ok v) ->
-              Alcotest.(check string) "column decrypt"
-                (Printf.sprintf "cell %d" row)
-                (match v with Value.Text s -> s | _ -> "?")
-          | Some (Error e) -> Alcotest.fail e)
-        dec;
-      (* arity failure leaves the table untouched *)
-      Alcotest.check_raises "bad arity rejected"
-        (Invalid_argument "Encrypted_table.insert: expected 2 values, got 1") (fun () ->
-          Etable.insert_many ~pool b [ [ Value.Int 0L ] ]);
-      Alcotest.(check int) "nothing appended" (List.length rows) (Etable.nrows b))
-
-let test_bulk_load_batch () =
-  let entries = List.init 233 (fun i -> (Value.Text (Printf.sprintf "k%05d" (i / 3)), i)) in
-  let codec = Secdb_schemes.Index3.codec ~e:(Secdb_schemes.Einst.cbc_zero_iv aes_fast) in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let seq = B.bulk_load ~id:7 ~codec entries in
-      let par = B.bulk_load ~pool ~id:7 ~codec entries in
-      Alcotest.(check bool) "snapshots identical" true (B.snapshot seq = B.snapshot par);
-      (match B.validate par with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      Alcotest.(check (list int)) "find" [ 30; 31; 32 ] (B.find par (Value.Text "k00010"));
-      (* an impure codec must take the sequential path and still build the
-         same tree as the pool-less call *)
-      let rng1 = Rng.create ~seed:7L () and rng2 = Rng.create ~seed:7L () in
-      let impure rng =
-        Secdb_schemes.Index12.codec
-          ~e:(Secdb_schemes.Einst.cbc_zero_iv aes_fast)
-          ~mac_cipher:(Secdb_cipher.Aes_fast.cipher ~key:key_mac)
-          ~rng ~indexed_table:8 ~indexed_col:1 ()
-      in
-      let i1 = B.bulk_load ~id:8 ~codec:(impure rng1) entries in
-      let i2 = B.bulk_load ~pool ~id:8 ~codec:(impure rng2) entries in
-      Alcotest.(check bool) "impure codec: identical via sequential fallback" true
-        (B.snapshot i1 = B.snapshot i2))
-
 let suites =
   [
     ( "bulk:kernel",
       [
         Alcotest.test_case "into agrees with string closures" `Quick test_into_matches_string;
         Alcotest.test_case "modes agree across paths" `Quick test_modes_agree_across_paths;
-      ] );
-    ( "bulk:pool",
-      [
-        Alcotest.test_case "order and results" `Quick test_pool_order_and_results;
-        Alcotest.test_case "exception propagation" `Quick test_pool_exceptions;
-        Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-      ] );
-    ( "bulk:batch",
-      [
-        Alcotest.test_case "cells: parallel == sequential" `Quick
-          test_cells_parallel_equals_sequential;
-        Alcotest.test_case "derived nonces" `Quick test_derived_nonce;
-        Alcotest.test_case "table insert_many/decrypt_column" `Quick test_table_batch;
-        Alcotest.test_case "index bulk load" `Quick test_bulk_load_batch;
       ] );
   ]

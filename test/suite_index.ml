@@ -220,6 +220,25 @@ let test_bulk_load_rejects_unsorted () =
     (Invalid_argument "Bptree.bulk_load: input not sorted") (fun () ->
       ignore (B.bulk_load ~id:1 ~codec:B.plain_codec [ (iv 2, 0); (iv 1, 1) ]))
 
+let test_bulk_load_encode_order () =
+  (* leaves are encoded once each, in entry order, so a stateful codec
+     draws its nonces or randomness in input order *)
+  let leaf_encodes = ref [] in
+  let codec =
+    {
+      B.plain_codec with
+      encode =
+        (fun ctx ~value ~table_row ->
+          (match (ctx.B.kind, table_row) with
+          | B.Leaf, Some r -> leaf_encodes := (value, r) :: !leaf_encodes
+          | _ -> ());
+          B.plain_codec.encode ctx ~value ~table_row);
+    }
+  in
+  let entries = List.init 50 (fun i -> (iv (i / 4), i)) in
+  ignore (B.bulk_load ~order:4 ~id:1 ~codec entries);
+  Alcotest.(check bool) "leaf encodes in entry order" true (List.rev !leaf_encodes = entries)
+
 let prop_bulk_equals_incremental =
   QCheck2.Test.make ~name:"bulk load = incremental inserts" ~count:60
     QCheck2.Gen.(pair (int_range 2 9) (list_size (int_range 0 300) (int_bound 40)))
@@ -244,6 +263,7 @@ let suites =
         [
           Alcotest.test_case "basics" `Quick test_bulk_load_basics;
           Alcotest.test_case "rejects unsorted" `Quick test_bulk_load_rejects_unsorted;
+          Alcotest.test_case "leaves encoded in entry order" `Quick test_bulk_load_encode_order;
           qc prop_bulk_equals_incremental;
         ] );
     ]

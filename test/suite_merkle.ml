@@ -105,7 +105,7 @@ let test_suppression_attack_and_anchor () =
         (Secdb_storage.Storage.decode_table
            ~scheme:(fun _ ->
              Secdb_schemes.Cell_scheme.
-               { name = "raw"; deterministic = true; parallel_safe = true;
+               { name = "raw"; deterministic = true;
                  encrypt = (fun _ v -> v); decrypt = (fun _ v -> Ok v) })
            (blob table_id))
     in

@@ -511,6 +511,20 @@ let test_graceful_stop_drains () =
 (* with_server's finally runs Server.stop: reaching the end without
    hanging is the drain assertion *)
 
+let test_config_bounds () =
+  Alcotest.(check int) "shards default to the recommended domain count"
+    (Domain.recommended_domain_count ())
+    (Server.config ~auth_key ()).Server.shards;
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Server.config accepted %s" what
+  in
+  rejects "0 shards" (fun () -> Server.config ~auth_key ~shards:0 ());
+  rejects "max_inflight 0" (fun () -> Server.config ~auth_key ~max_inflight:0 ());
+  rejects "a short auth key" (fun () -> Server.config ~auth_key:"short" ());
+  rejects "a tiny max_frame" (fun () -> Server.config ~auth_key ~max_frame:8 ())
+
 let suites =
   [
     ( "net:wire",
@@ -521,6 +535,8 @@ let suites =
         Alcotest.test_case "truncated frames are structured errors" `Quick test_frame_truncation;
         Alcotest.test_case "session secrets are derived and domain-separated" `Quick
           test_session_secrets;
+        Alcotest.test_case "server config rejects out-of-range settings" `Quick
+          test_config_bounds;
       ] );
     ( "net:server",
       [

@@ -1,5 +1,4 @@
 open Secdb_obs
-module Pool = Secdb_util.Pool
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -100,19 +99,15 @@ let test_disabled_noop () =
 
 let test_parallel_counts () =
   let c = Metrics.counter "obs_test.par" in
-  let per_task = 10 and n = 1000 in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let (_ : unit array) =
-        Pool.map_array pool
-          (fun _ ->
-            for _ = 1 to per_task do
-              Metrics.incr c
-            done)
-          (Array.init n Fun.id)
-      in
-      ());
+  let domains = 4 and per_domain = 25_000 in
+  let work () =
+    for _ = 1 to per_domain do
+      Metrics.incr c
+    done
+  in
+  List.iter Domain.join (List.init domains (fun _ -> Domain.spawn work));
   (* striped slots must not lose increments under domain parallelism *)
-  checki "no lost counts" (per_task * n) (Metrics.value c)
+  checki "no lost counts" (domains * per_domain) (Metrics.value c)
 
 let test_reset () =
   let c = Metrics.counter "obs_test.reset" in

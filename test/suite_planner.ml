@@ -79,6 +79,39 @@ let test_row_gauges () =
   Alcotest.(check int) "db.rows gauge mirrors live_rows" 7
     (Metrics.gauge_value (Metrics.gauge ~labels:[ ("table", "g") ] "db.rows"))
 
+(* --- plan labels ------------------------------------------------------------ *)
+
+let test_join_labels_distinct () =
+  (* the outer table has an exact and a range index on the filtered column
+     and the inner table an exact index on the join key, so every outer
+     access path meets both join strategies *)
+  let db = Encdb.create ~master:"labels" ~profile:(Encdb.Fixed Encdb.Eax) () in
+  ignore (exec db "CREATE TABLE orders (id INT CLEAR, cust INT, total INT)");
+  ignore (exec db "CREATE TABLE custs (id INT CLEAR, cust INT, region INT)");
+  for i = 0 to 39 do
+    ignore
+      (exec db (Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d)" i (i mod 8) (i * 7)))
+  done;
+  for i = 0 to 9 do
+    ignore (exec db (Printf.sprintf "INSERT INTO custs VALUES (%d, %d, %d)" i (i mod 8) (i mod 3)))
+  done;
+  ignore (exec db "CREATE INDEX ON orders (total)");
+  ignore (exec db "CREATE RANGE INDEX ON orders (total) BUCKETS 4");
+  ignore (exec db "CREATE INDEX ON custs (cust)");
+  let q =
+    "SELECT * FROM orders JOIN custs ON orders.cust = custs.cust WHERE total BETWEEN 0 AND 100"
+  in
+  let names =
+    match P.parse q with
+    | Ok (A.Select s) -> List.map Pl.name (E.candidate_plans db s)
+    | _ -> Alcotest.fail "parse"
+  in
+  Alcotest.(check int) "candidates" 7 (List.length names);
+  Alcotest.(check (list string)) "every label distinct"
+    (List.sort compare names) (List.sort_uniq compare names);
+  Alcotest.(check bool) "outer access path in the label" true
+    (List.mem "index-loop-join@bucket:total" names)
+
 (* --- oracle ----------------------------------------------------------------
 
    t1 (id INT CLEAR, k INT, a INT) and t2 (id INT CLEAR, k INT, b INT)
@@ -292,10 +325,9 @@ let prop_oracle =
       (match sc.q with
       | Join _ ->
           let names = List.map Pl.name plans in
-          if not (List.exists (fun n -> n = "loop-join") names) then failwith "no loop-join";
-          if not (List.exists (fun n -> n = "loop-join-rev") names) then
-            failwith "no reversed loop-join";
-          if sc.idx2 && not (List.exists (fun n -> n = "index-loop-join") names) then
+          if not (List.mem "loop-join@seq" names) then failwith "no loop-join";
+          if not (List.mem "loop-join-rev@seq" names) then failwith "no reversed loop-join";
+          if sc.idx2 && not (List.mem "index-loop-join@seq" names) then
             failwith "no index-loop-join despite inner index"
       | Single _ -> ());
       (* the lock-free snapshot path, when it volunteers, matches too *)
@@ -316,6 +348,7 @@ let suites =
       [
         Alcotest.test_case "deterministic tie-breaking" `Quick test_tie_break;
         Alcotest.test_case "db.rows gauge tracks live rows" `Quick test_row_gauges;
+        Alcotest.test_case "join plan labels are distinct" `Quick test_join_labels_distinct;
         Test_seed.qc prop_oracle;
       ] );
   ]

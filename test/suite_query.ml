@@ -73,9 +73,25 @@ let test_etable_errors () =
   Alcotest.check_raises "arity"
     (Invalid_argument "Encrypted_table.insert: expected 3 values, got 0") (fun () ->
       ignore (Etable.insert t []));
-  match Etable.insert t [ Value.Text "x"; Value.Text "y"; Value.Int 1L ] with
+  (match Etable.insert t [ Value.Text "x"; Value.Text "y"; Value.Int 1L ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "type mismatch accepted"
+  | _ -> Alcotest.fail "type mismatch accepted");
+  Alcotest.(check int) "rejected inserts append nothing" 5 (Etable.nrows t)
+
+let test_etable_deleted_row () =
+  let t = sample ~scheme:(fixed_scheme ()) () in
+  Etable.delete_row t ~row:1;
+  Alcotest.(check bool) "tombstoned" false (Etable.is_live t ~row:1);
+  Alcotest.(check int) "row numbers kept" 5 (Etable.nrows t);
+  (match Etable.get t ~row:1 ~col:1 with
+  | Error _ -> ()
+  | Ok v -> Alcotest.fail ("deleted cell readable: " ^ Value.to_string v));
+  Alcotest.(check (option string)) "no stored cell" None (Etable.raw_ciphertext t ~row:1 ~col:1);
+  Alcotest.(check (list int)) "scan skips it" [ 0; 2; 3; 4 ]
+    (List.map fst (Etable.select t (fun _ -> true)));
+  Alcotest.check_raises "update refused"
+    (Invalid_argument "Encrypted_table.update: row 1 is deleted") (fun () ->
+      Etable.update t ~row:1 ~col:1 (Value.Text "zombie"))
 
 let test_etable_storage_accounting () =
   let broken = sample () in
@@ -197,6 +213,7 @@ let suites =
         Alcotest.test_case "basics" `Quick test_etable_basics;
         Alcotest.test_case "tamper detection" `Quick test_etable_tamper;
         Alcotest.test_case "errors" `Quick test_etable_errors;
+        Alcotest.test_case "deleted rows" `Quick test_etable_deleted_row;
         Alcotest.test_case "storage accounting" `Quick test_etable_storage_accounting;
       ] );
     ( "query:walker",

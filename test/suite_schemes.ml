@@ -289,6 +289,24 @@ let test_index12_kind_confusion () =
   | Ok (_, None) -> () (* acceptable: entry correctly reports no table row *)
   | Ok (_, Some _) -> Alcotest.fail "kind confusion produced a table row"
 
+let test_index12_bulk_load_reproducible () =
+  (* the codec draws from its RNG on every encode; one seed must give one
+     tree, byte for byte *)
+  let entries = List.init 97 (fun i -> (Value.Text (Printf.sprintf "k%04d" (i / 3)), i)) in
+  let build seed =
+    let codec =
+      Secdb_schemes.Index12.codec
+        ~e:(Einst.cbc_zero_iv (aes key))
+        ~mac_cipher:(aes key2) ~rng:(Rng.create ~seed ()) ~indexed_table:1 ~indexed_col:2 ()
+    in
+    B.bulk_load ~id:1000 ~codec entries
+  in
+  let t = build 7L in
+  (match B.validate t with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check (list int)) "duplicates found" [ 30; 31; 32 ] (B.find t (Value.Text "k0010"));
+  Alcotest.(check bool) "same seed, same tree" true (B.snapshot t = B.snapshot (build 7L));
+  Alcotest.(check bool) "other seed, other bytes" false (B.snapshot t = B.snapshot (build 8L))
+
 (* --- trees over encrypted codecs --------------------------------------- *)
 
 let build_tree codec n =
@@ -388,6 +406,8 @@ let suites =
         Alcotest.test_case "index12 MAC coverage" `Quick test_index12_mac_coverage;
         Alcotest.test_case "index12 randomised etilde" `Quick test_index12_randomised_etilde;
         Alcotest.test_case "index12 kind confusion" `Quick test_index12_kind_confusion;
+        Alcotest.test_case "index12 bulk load reproducible under one seed" `Quick
+          test_index12_bulk_load_reproducible;
         Alcotest.test_case "index3 shape validation" `Quick test_index3_inner_leaf_shapes;
         Alcotest.test_case "trees over all codecs" `Quick test_trees_over_codecs;
       ] );

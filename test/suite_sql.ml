@@ -657,3 +657,95 @@ let suites =
           Test_seed.qc prop_range_index_oracle;
         ] );
     ]
+
+(* --- snapshot index maps ---------------------------------------------------- *)
+
+let snapshot_kv values =
+  let db = Encdb.create ~master:"snapshot" ~profile:(Encdb.Fixed Encdb.Eax) () in
+  let run s = match E.exec db s with Ok _ -> () | Error e -> failwith (s ^ ": " ^ e) in
+  run "CREATE TABLE kv (id INT CLEAR, v INT)";
+  List.iteri (fun i v -> run (Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" i v)) values;
+  run "CREATE INDEX ON kv (v)";
+  (db, run)
+
+let vint n = Value.Int (Int64.of_int n)
+
+let test_snapshot_index_walk () =
+  let db, _ = snapshot_kv [ 3; 1; 4; 1; 5; 2; 4; 3 ] in
+  let snap = Snap.of_db db in
+  let rows = Option.map (List.map fst) in
+  let range ts lo hi = rows (Snap.index_range (Option.get ts) ~col:1 ~lo ~hi) in
+  let probe ts v = rows (Snap.index_probe (Option.get ts) ~col:1 v) in
+  let ts = Snap.table snap "kv" in
+  let check = Alcotest.(check (option (list int))) in
+  check "inclusive bounds, value then row ascending" (Some [ 5; 0; 7; 2; 6 ])
+    (range ts (vint 2) (vint 4));
+  check "single value" (Some [ 1; 3 ]) (range ts (vint 1) (vint 1));
+  check "lo above hi" (Some []) (range ts (vint 4) (vint 2));
+  check "past the last value" (Some []) (range ts (vint 6) (vint 9));
+  check "probe" (Some [ 2; 6 ]) (probe ts (vint 4));
+  check "probe of another kind" (Some []) (probe ts (Value.Text "4"));
+  check "unindexed column" None
+    (rows (Snap.index_range (Option.get ts) ~col:0 ~lo:(vint 0) ~hi:(vint 9)));
+  (* an update moves the row between values; a delete drops it *)
+  let snap =
+    List.fold_left Snap.apply snap
+      [
+        Encdb.Updated { table = "kv"; row = 2; col = "v"; value = vint 1 };
+        Encdb.Deleted { table = "kv"; row = 3 };
+      ]
+  in
+  let ts = Snap.table snap "kv" in
+  check "moved in" (Some [ 1; 2 ]) (probe ts (vint 1));
+  check "moved out" (Some [ 6 ]) (probe ts (vint 4))
+
+(* folding the change stream must build the same snapshot as priming one
+   from the database, and an index walk must equal a filtered full scan *)
+let prop_snapshot_incremental =
+  QCheck2.Test.make ~name:"incremental snapshot = primed snapshot = filtered scan" ~count:40
+    ~print:(fun ops ->
+      String.concat ";" (List.map (fun (k, r, v) -> Printf.sprintf "%d/%d/%d" k r v) ops))
+    QCheck2.Gen.(list_size (int_range 0 40) (triple (int_range 0 2) (int_range 0 30) (int_range 0 6)))
+    (fun ops ->
+      let db, run = snapshot_kv [] in
+      let snap = ref (Snap.of_db db) in
+      Encdb.set_on_change db (Some (fun c -> snap := Snap.apply !snap c));
+      let next = ref 0 in
+      List.iter
+        (fun (kind, row, v) ->
+          match kind with
+          | 0 ->
+              run (Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" !next v);
+              incr next
+          | 1 -> run (Printf.sprintf "UPDATE kv SET v = %d WHERE id = %d" v row)
+          | _ -> run (Printf.sprintf "DELETE FROM kv WHERE id = %d" row))
+        ops;
+      let inc = Option.get (Snap.table !snap "kv") in
+      let primed = Option.get (Snap.table (Snap.of_db db) "kv") in
+      let scan lo hi =
+        Snap.all_rows primed
+        |> List.filter (fun (_, vs) ->
+               Value.compare lo vs.(1) <= 0 && Value.compare vs.(1) hi <= 0)
+        |> List.stable_sort (fun (_, a) (_, b) -> Value.compare a.(1) b.(1))
+      in
+      Snap.all_rows inc = Snap.all_rows primed
+      && List.for_all
+           (fun v ->
+             Snap.index_probe inc ~col:1 (vint v) = Snap.index_probe primed ~col:1 (vint v))
+           (List.init 8 Fun.id)
+      && List.for_all
+           (fun (lo, hi) ->
+             let lo = vint lo and hi = vint hi in
+             Snap.index_range inc ~col:1 ~lo ~hi = Some (scan lo hi)
+             && Snap.index_range primed ~col:1 ~lo ~hi = Some (scan lo hi))
+           [ (0, 6); (2, 4); (3, 3); (5, 1) ])
+
+let suites =
+  suites
+  @ [
+      ( "sql:snapshot",
+        [
+          Alcotest.test_case "index maps walk [lo, hi]" `Quick test_snapshot_index_walk;
+          Test_seed.qc prop_snapshot_incremental;
+        ] );
+    ]
