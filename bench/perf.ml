@@ -410,44 +410,98 @@ let planner_db ~rows () =
   run "CREATE INDEX ON custs (cust)";
   db
 
+(* label, query, and the exact [table.cells_decrypted] its adaptive plan
+   costs on [planner_db ~rows:160]: a cell is decrypted the first time the
+   statement reads it, so these counts pin the executor's evaluation order
+   as well as its plan *)
 let planner_queries =
   [
-    ("point", "SELECT * FROM orders WHERE total = 630");
-    ("range", "SELECT id, total FROM orders WHERE total BETWEEN 100 AND 220 ORDER BY total DESC");
-    ("order-limit", "SELECT * FROM orders ORDER BY total DESC LIMIT 5");
+    ("point", "SELECT * FROM orders WHERE total = 630", 2);
+    ( "range",
+      "SELECT id, total FROM orders WHERE total BETWEEN 100 AND 220 ORDER BY total DESC",
+      19 );
+    ("order-limit", "SELECT * FROM orders ORDER BY total DESC LIMIT 5", 165);
     ( "join",
       "SELECT * FROM orders JOIN custs ON orders.cust = custs.cust WHERE total BETWEEN 0 AND \
-       400 ORDER BY region LIMIT 20" );
+       400 ORDER BY region LIMIT 20",
+      230 );
+    ( "group-by",
+      "SELECT cust, COUNT(*), SUM(total) FROM orders WHERE total < 300 GROUP BY cust",
+      120 );
+    ("or-not", "SELECT id, total FROM orders WHERE total < 100 OR NOT cust < 30", 290);
+  ]
+
+(* UPDATE/DELETE by the unindexed [cust] column (each value on 4 of the
+   160 rows), run after the SELECTs: label, statement, its pinned
+   [table.cells_decrypted], and a count every plan must agree on after it *)
+let planner_dml =
+  [
+    ( "update-by-cust",
+      "UPDATE orders SET total = 999 WHERE cust = 7",
+      164,
+      ("cust = 7 AND total = 999", 4) );
+    ("delete-by-cust", "DELETE FROM orders WHERE NOT cust < 39", 168, ("cust = 39", 0));
   ]
 
 let planner_select sql =
   match SP.parse sql with Ok (SA.Select s) -> s | _ -> failwith ("planner parse: " ^ sql)
 
+let cells_decrypted () = Secdb_obs.Metrics.(value (counter "table.cells_decrypted"))
+
+(* [f ()]'s result and the cells it decrypted *)
+let counting_cells f =
+  let c0 = cells_decrypted () in
+  let r = f () in
+  (r, cells_decrypted () - c0)
+
+let check_cells label ~pinned cells =
+  if cells <> pinned then
+    fail_check "planner %s: %d cells decrypted, pinned %d" label cells pinned
+
+(* whatever the cost model picks, every candidate plan — and the lock-free
+   snapshot path, where it volunteers — must return the same bytes; a
+   planner bug may cost latency, never answers *)
+let check_plans db snap label s ~adaptive =
+  List.iter
+    (fun p ->
+      match SE.exec_plan db s p with
+      | Ok r ->
+          if r <> adaptive then
+            fail_check "planner %s: plan %s returns different bytes" label (SPl.name p)
+      | Error e -> fail_check "planner %s: plan %s: %s" label (SPl.name p) e)
+    (SE.candidate_plans db s);
+  match SE.exec_snapshot snap (SA.Select s) with
+  | Some (Ok r) -> if r <> adaptive then fail_check "planner %s: snapshot differs" label
+  | Some (Error e) -> fail_check "planner %s: snapshot: %s" label e
+  | None -> ()
+
 let check_planner () =
-  (* whatever the cost model picks, every candidate plan — and the
-     lock-free snapshot path, where it volunteers — must return the same
-     bytes; a planner bug may cost latency, never answers *)
   let db = planner_db ~rows:160 () in
   let snap = SSnap.of_db db in
   List.iter
-    (fun (label, sql) ->
+    (fun (label, sql, pinned) ->
       let s = planner_select sql in
-      match SE.exec_stmt db (SA.Select s) with
-      | Error e -> fail_check "planner %s: %s" label e
-      | Ok adaptive ->
-          List.iter
-            (fun p ->
-              match SE.exec_plan db s p with
-              | Ok r ->
-                  if r <> adaptive then
-                    fail_check "planner %s: plan %s returns different bytes" label (SPl.name p)
-              | Error e -> fail_check "planner %s: plan %s: %s" label (SPl.name p) e)
-            (SE.candidate_plans db s);
-          (match SE.exec_snapshot snap (SA.Select s) with
-          | Some (Ok r) -> if r <> adaptive then fail_check "planner %s: snapshot differs" label
-          | Some (Error e) -> fail_check "planner %s: snapshot: %s" label e
-          | None -> ()))
-    planner_queries
+      match counting_cells (fun () -> SE.exec_stmt db (SA.Select s)) with
+      | Error e, _ -> fail_check "planner %s: %s" label e
+      | Ok adaptive, cells ->
+          check_cells label ~pinned cells;
+          check_plans db snap label s ~adaptive)
+    planner_queries;
+  List.iter
+    (fun (label, sql, pinned, (where, want)) ->
+      match counting_cells (fun () -> SE.exec db sql) with
+      | Error e, _ -> fail_check "planner %s: %s" label e
+      | Ok (SE.Affected 4), cells -> (
+          check_cells label ~pinned cells;
+          let s = planner_select ("SELECT COUNT(*) FROM orders WHERE " ^ where) in
+          match SE.exec_stmt db (SA.Select s) with
+          | Ok (SE.Rows { rows = [ [ Value.Int n ] ]; _ } as adaptive) ->
+              if Int64.to_int n <> want then
+                fail_check "planner %s: %s counts %Ld rows afterwards, not %d" label where n want;
+              check_plans db (SSnap.of_db db) label s ~adaptive
+          | _ -> fail_check "planner %s: count afterwards failed" label)
+      | Ok _, _ -> fail_check "planner %s: expected 4 rows affected" label)
+    planner_dml
 
 (* The checks run with observability on, so the counter snapshot embedded
    in BENCH_perf.json reflects exactly the work the equivalence checks did;
@@ -824,7 +878,7 @@ let bench_planner ~fast =
   let db = planner_db ~rows () in
   header "Adaptive planner vs forced plans, %d rows (ms/query)" rows;
   List.iter
-    (fun (label, sql) ->
+    (fun (label, sql, _) ->
       let s = planner_select sql in
       let force p =
         match SE.exec_plan db s p with Ok r -> r | Error e -> failwith e

@@ -30,7 +30,9 @@ dune build @kat
 step "perf equivalence + planner byte-identity checks"
 # includes the planner gate: every candidate plan (forced via exec_plan),
 # the adaptive choice and the lock-free snapshot path must return
-# byte-identical rows for point, range, join and order-by shapes
+# byte-identical rows for point, range, join, order-by, group-by, OR/NOT
+# and UPDATE/DELETE-by-unindexed-column shapes, each at its pinned count
+# of decrypted cells
 dune exec bench/perf.exe -- --fast --check
 
 step "leakage bounds (range index attack bench, fixed seeds)"

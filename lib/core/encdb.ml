@@ -620,41 +620,23 @@ let rotate_master t ~new_master =
   close t;
   fresh
 
-let fetch_rows tbl rows =
-  let schema = Etable.schema tbl in
-  let ncols = Schema.ncols schema in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | row :: rest -> (
-        let values = Array.make ncols Value.Null in
-        let rec cols c =
-          if c >= ncols then Ok ()
-          else
-            match Etable.get tbl ~row ~col:c with
-            | Ok v ->
-                values.(c) <- v;
-                cols (c + 1)
-            | Error e -> Error (Printf.sprintf "row %d: %s" row e)
-        in
-        match cols 0 with
-        | Ok () -> loop ((row, values) :: acc) rest
-        | Error e -> Error e)
-  in
-  loop [] rows
+(* --- reads ------------------------------------------------------------------
 
-let select_range t ~table:name ~col ?(mode = Walker.Corrected) ?lo ?hi () =
+   The index paths return row ids; the SQL executor reads the rows lazily
+   through {!Etable.reader}.  The [select_*] functions below decrypt whole
+   rows on top of those paths. *)
+
+let index_rows t ~table:name ~col ?(mode = Walker.Corrected) ?lo ?hi () =
   ensure_open t;
-  let tbl = table t name in
   match Hashtbl.find_opt t.indexes (name, col) with
-  | Some tree -> (
-      match Walker.range tree ~mode ?lo ?hi () with
-      | Error e -> Error e
-      | Ok answer -> fetch_rows tbl (List.map snd answer.Walker.results))
+  | Some tree ->
+      Result.map
+        (fun answer -> List.map snd answer.Walker.results)
+        (Walker.range tree ~mode ?lo ?hi ())
   | None -> Error (Printf.sprintf "no index on %s.%s" name col)
 
-let select_range_bucketed t ~table:name ~col ?lo ?hi () =
+let bucket_rows t ~table:name ~col ?lo ?hi () =
   ensure_open t;
-  let tbl = table t name in
   match Hashtbl.find_opt t.range_indexes (name, col) with
   | None -> Error (Printf.sprintf "no range index on %s.%s" name col)
   | Some rtree -> (
@@ -662,17 +644,27 @@ let select_range_bucketed t ~table:name ~col ?lo ?hi () =
          the same visible order as a full scan, so the planner may swap one
          for the other without changing result bytes *)
       match Rtree.query rtree ?lo ?hi () with
-      | entries -> fetch_rows tbl (List.map snd entries)
+      | entries -> Ok (List.map snd entries)
       | exception Rtree.Integrity e -> Error e)
+
+let materialise t name rows =
+  let tbl = table t name in
+  match List.map (fun row -> (row, Etable.values (Etable.reader tbl row))) rows with
+  | rows -> Ok rows
+  | exception Failure e -> Error e
+
+let select_range t ~table ~col ?mode ?lo ?hi () =
+  Result.bind (index_rows t ~table ~col ?mode ?lo ?hi ()) (materialise t table)
+
+let select_range_bucketed t ~table ~col ?lo ?hi () =
+  Result.bind (bucket_rows t ~table ~col ?lo ?hi ()) (materialise t table)
 
 let select_eq t ~table:name ~col ?(mode = Walker.Corrected) probe =
   ensure_open t;
-  let tbl = table t name in
-  match Hashtbl.find_opt t.indexes (name, col) with
-  | Some _ -> select_range t ~table:name ~col ~mode ~lo:probe ~hi:probe ()
-  | None -> (
-      (* decrypting full scan *)
-      let col_id = Schema.col_index (Etable.schema tbl) col in
-      match Etable.select_result tbl (fun values -> Value.equal values.(col_id) probe) with
-      | Ok rows -> Ok rows
-      | Error e -> Error e)
+  if Hashtbl.mem t.indexes (name, col) then
+    select_range t ~table:name ~col ~mode ~lo:probe ~hi:probe ()
+  else
+    (* decrypting full scan *)
+    let tbl = table t name in
+    let col_id = Schema.col_index (Etable.schema tbl) col in
+    Etable.select_result tbl (fun values -> Value.equal values.(col_id) probe)

@@ -228,6 +228,34 @@ val rotate_master : t -> new_master:string -> t
     session is closed.  @raise Failure if any stored data fails integrity
     (rotation must not silently launder tampered data). *)
 
+(** {2 Reads} *)
+
+val index_rows :
+  t ->
+  table:string ->
+  col:string ->
+  ?mode:Secdb_query.Walker.mode ->
+  ?lo:Secdb_db.Value.t ->
+  ?hi:Secdb_db.Value.t ->
+  unit ->
+  (int list, string) result
+(** Row ids whose value lies in the inclusive range, through the column's
+    exact index (walked by {!Secdb_query.Walker} under [mode], default
+    [Corrected]), in index order.  Nothing in the table is decrypted; the
+    SQL executor reads the rows through {!Secdb_query.Encrypted_table.reader}.
+    [Error] on index integrity failure or when the column has no index. *)
+
+val bucket_rows :
+  t ->
+  table:string ->
+  col:string ->
+  ?lo:Secdb_db.Value.t ->
+  ?hi:Secdb_db.Value.t ->
+  unit ->
+  (int list, string) result
+(** Row ids in the inclusive range through the bucketized index, ascending.
+    [Error] on integrity failure or when the column has no range index. *)
+
 val select_eq :
   t ->
   table:string ->

@@ -68,25 +68,26 @@ let live_cells t row op =
 
 let is_live t ~row = Vec.get t.rows row <> None
 
+(* the one decrypt path: every protected cell read, eager or lazy, is
+   authenticated with its (t, r, c) address as associated data *)
+let decrypt_cell t ~row ~col ct =
+  Metrics.incr m_cells_decrypted;
+  match t.schemes.(col).decrypt (Address.v ~table:t.id ~row ~col) ct with
+  | Error e ->
+      Metrics.incr m_decrypt_failures;
+      Error e
+  | Ok plain -> Value.decode plain
+
 let get t ~row ~col =
   match Vec.get t.rows row with
   | None -> Error "row is deleted"
   | Some cells -> (
-      match cells.(col) with
-      | Clear v -> Ok v
-      | Cipher ct -> (
-          Metrics.incr m_cells_decrypted;
-          let addr = Address.v ~table:t.id ~row ~col in
-          match t.schemes.(col).decrypt addr ct with
-          | Error e ->
-              Metrics.incr m_decrypt_failures;
-              Error e
-          | Ok plain -> Value.decode plain))
+      match cells.(col) with Clear v -> Ok v | Cipher ct -> decrypt_cell t ~row ~col ct)
+
+let cell_failure t ~row ~col e = failwith (Printf.sprintf "cell (%d,%d,%d): %s" t.id row col e)
 
 let get_exn t ~row ~col =
-  match get t ~row ~col with
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "cell (%d,%d,%d): %s" t.id row col e)
+  match get t ~row ~col with Ok v -> v | Error e -> cell_failure t ~row ~col e
 
 let update t ~row ~col value =
   (match Schema.check_value (Schema.col t.schema col) value with
@@ -99,22 +100,70 @@ let delete_row t ~row =
   ignore (Vec.get t.rows row);
   Vec.set t.rows row None
 
-let decrypt_row t row =
-  Array.init (Schema.ncols t.schema) (fun col -> get_exn t ~row ~col)
+(* --- lazy rows ------------------------------------------------------------
 
-let select t pred =
+   A [Stored] row holds a private copy of the row's stored cells; a cell
+   read for the first time is decrypted and replaced in the copy by its
+   clear value, so a statement pays one decrypt per cell it reads and none
+   for the cells it never reads. *)
+
+type row =
+  | Plain of Value.t array
+  | Stored of { table : t; id : int; cells : cell array }
+  | Joined of { left : row; split : int; right : row }  (** [split] = width of [left] *)
+
+let reader t row =
+  match Vec.get t.rows row with
+  | Some cells -> Stored { table = t; id = row; cells = Array.copy cells }
+  | None -> failwith (Printf.sprintf "row (%d,%d): row is deleted" t.id row)
+
+let of_values values = Plain values
+
+let rec width = function
+  | Plain vs -> Array.length vs
+  | Stored { cells; _ } -> Array.length cells
+  | Joined { split; right; _ } -> split + width right
+
+let append left right = Joined { left; split = width left; right }
+
+let rec cell r col =
+  match r with
+  | Plain vs -> vs.(col)
+  | Joined { left; split; right } -> if col < split then cell left col else cell right (col - split)
+  | Stored { table; id; cells } -> (
+      match cells.(col) with
+      | Clear v -> v
+      | Cipher ct -> (
+          match decrypt_cell table ~row:id ~col ct with
+          | Ok v ->
+              cells.(col) <- Clear v;
+              v
+          | Error e -> cell_failure table ~row:id ~col e))
+
+let values r = Array.init (width r) (cell r)
+
+(* every live row in ascending order; [keep] picks what a row contributes
+   and whether it counts as matched *)
+let scan_with t keep =
   let acc = ref [] in
   for row = 0 to nrows t - 1 do
     if is_live t ~row then begin
       Metrics.incr m_rows_scanned;
-      let values = decrypt_row t row in
-      if pred values then begin
-        Metrics.incr m_rows_matched;
-        acc := (row, values) :: !acc
-      end
+      match keep (reader t row) with
+      | Some x ->
+          Metrics.incr m_rows_matched;
+          acc := (row, x) :: !acc
+      | None -> ()
     end
   done;
   List.rev !acc
+
+let scan t = scan_with t Option.some
+
+let select t pred =
+  scan_with t (fun r ->
+      let vs = values r in
+      if pred vs then Some vs else None)
 
 let select_result t pred =
   match select t pred with

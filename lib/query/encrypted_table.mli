@@ -42,7 +42,7 @@ val delete_row : t -> row:int -> unit
 val is_live : t -> row:int -> bool
 
 val select : t -> (Secdb_db.Value.t array -> bool) -> (int * Secdb_db.Value.t array) list
-(** Decrypting full scan.
+(** Decrypting full scan: every cell of every live row.
     @raise Failure when any visited cell fails integrity. *)
 
 val select_result :
@@ -50,6 +50,39 @@ val select_result :
   (Secdb_db.Value.t array -> bool) ->
   ((int * Secdb_db.Value.t array) list, string) result
 (** Decrypting full scan; [Error] on the first cell failing integrity. *)
+
+(** {2 Lazy rows}
+
+    The SQL executor reads rows through one memoizing reader: a protected
+    cell is decrypted and authenticated, with its (t, r, c) address as
+    associated data, the first time it is read, and never otherwise.  A
+    cell that fails raises [Failure "cell (t,r,c): reason"] — the text
+    {!get_exn} raises for the same cell — whatever access path produced
+    the row. *)
+
+type row
+
+val reader : t -> int -> row
+(** A reader over a live row; nothing is decrypted yet.  Later writes to
+    the table do not show through it.
+    @raise Failure when the row is deleted. *)
+
+val of_values : Secdb_db.Value.t array -> row
+(** A reader over plaintext values (a read snapshot's rows). *)
+
+val append : row -> row -> row
+(** The columns of the first row followed by those of the second — a
+    join's output row; reads go to the side that owns the column. *)
+
+val cell : row -> int -> Secdb_db.Value.t
+(** Column [i] of the row, decrypted on first read and remembered.
+    @raise Failure when the cell fails integrity. *)
+
+val values : row -> Secdb_db.Value.t array
+(** Every column, in order. *)
+
+val scan : t -> (int * row) list
+(** Every live row in ascending row order, undecrypted. *)
 
 (* Adversary interface *)
 

@@ -71,7 +71,12 @@ let remove t v =
   | Some x ->
       t.total <- max 0 (t.total - 1);
       if t.fixed then t.counts.(bucket_of t x) <- max 0 (t.counts.(bucket_of t x) - 1)
-      else t.bootstrap <- (match t.bootstrap with [] -> [] | _ :: rest -> ignore x; rest)
+      else
+        let rec drop_one = function
+          | [] -> []
+          | y :: rest -> if Float.equal y x then rest else y :: drop_one rest
+        in
+        t.bootstrap <- drop_one t.bootstrap
 
 let total t = t.total
 

@@ -24,7 +24,8 @@ val of_values : ?buckets:int -> Secdb_db.Value.t list -> t
 
 val add : t -> Secdb_db.Value.t -> unit
 val remove : t -> Secdb_db.Value.t -> unit
-(** Removing a value never seen leaves counts clamped at zero. *)
+(** Removing a value never seen leaves counts clamped at zero.  Before the
+    range is fixed, one bootstrap sample equal to the value is dropped. *)
 
 val total : t -> int
 

@@ -16,10 +16,11 @@ let ( let* ) = Result.bind
 
 (* --- predicate evaluation ------------------------------------------------ *)
 
+(* [row] is an {!Etable.row}: a cell is decrypted the first time it is read *)
 let eval_operand schema row = function
   | Ast.Col c -> (
       match Schema.col_index schema c with
-      | i -> Ok row.(i)
+      | i -> Ok (Etable.cell row i)
       | exception Not_found -> Error (Printf.sprintf "unknown column %s" c))
   | Ast.Lit v -> Ok v
   | e -> Error (Fmt.str "expected a column or literal, got %a" Ast.pp_expr e)
@@ -185,7 +186,7 @@ let aggregate schema fn col rows =
     | None -> Ok None
     | Some c ->
         let* i = col_index_res schema c in
-        Ok (Some (List.map (fun (_, vs) -> vs.(i)) rows))
+        Ok (Some (List.map (fun (_, r) -> Etable.cell r i) rows))
   in
   match (fn, values) with
   | Ast.Count, None -> Ok (Value.Int (Int64.of_int (List.length rows)))
@@ -238,12 +239,12 @@ let project schema (s : Ast.select) rows =
           let tbl = Hashtbl.create 16 in
           let order = ref [] in
           List.iter
-            (fun (row, vs) ->
-              let k = vs.(i) in
+            (fun ((_, r) as row) ->
+              let k = Etable.cell r i in
               match Hashtbl.find_opt tbl (Value.encode k) with
-              | Some l -> l := (row, vs) :: !l
+              | Some l -> l := row :: !l
               | None ->
-                  Hashtbl.add tbl (Value.encode k) (ref [ (row, vs) ]);
+                  Hashtbl.add tbl (Value.encode k) (ref [ row ]);
                   order := k :: !order)
             rows;
           Ok
@@ -297,7 +298,7 @@ let project schema (s : Ast.select) rows =
         (Rows
            {
              columns;
-             rows = List.map (fun (_, values) -> List.map (fun i -> values.(i)) col_ids) rows;
+             rows = List.map (fun (_, r) -> List.map (Etable.cell r) col_ids) rows;
            })
   end
 
@@ -305,29 +306,30 @@ let project schema (s : Ast.select) rows =
 
 (* every access path hands its candidates over in ascending row order —
    the canonical order that makes all plans (and the snapshot fast path)
-   byte-identical before the shared filter/sort/limit tail *)
+   byte-identical before the shared filter/sort/limit tail.  Rows are
+   lazy {!Etable.row}s: the tail decrypts only the cells it reads. *)
 let canonical rows = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows
 
+let readers tbl ids = List.map (fun id -> (id, Etable.reader tbl id)) (List.sort Int.compare ids)
+
 let access_rows db ~mode ~table access =
-  let* rows =
-    match access with
-    | Plan.Index_probe { col; lo; hi; _ } -> Encdb.select_range db ~table ~col ~mode ?lo ?hi ()
-    | Plan.Bucket_scan { col; lo; hi; _ } -> Encdb.select_range_bucketed db ~table ~col ?lo ?hi ()
-    | Plan.Seq_scan -> Etable.select_result (Encdb.table db table) (fun _ -> true)
-  in
-  Ok (canonical rows)
+  let tbl = Encdb.table db table in
+  match access with
+  | Plan.Index_probe { col; lo; hi; _ } ->
+      Result.map (readers tbl) (Encdb.index_rows db ~table ~col ~mode ?lo ?hi ())
+  | Plan.Bucket_scan { col; lo; hi; _ } ->
+      Result.map (readers tbl) (Encdb.bucket_rows db ~table ~col ?lo ?hi ())
+  | Plan.Seq_scan -> Ok (Etable.scan tbl)
 
 (* inner equi-join.  Output rows are keyed (left row, right row) and the
-   values are left table's cells then right table's, whatever side the
-   plan made the outer; Null join keys match nothing on either side. *)
+   cells are left table's then right table's, whatever side the plan made
+   the outer; Null join keys match nothing on either side. *)
 let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped =
-  let oschema = Etable.schema (Encdb.table db outer) in
-  let ischema = Etable.schema (Encdb.table db inner) in
-  let* oi = col_index_res oschema outer_col in
-  let* ii = col_index_res ischema inner_col in
-  let combine (orow, ovs) (irow, ivs) =
-    if swapped then ((irow, orow), Array.append ivs ovs)
-    else ((orow, irow), Array.append ovs ivs)
+  let itbl = Encdb.table db inner in
+  let* oi = col_index_res (Etable.schema (Encdb.table db outer)) outer_col in
+  let* ii = col_index_res (Etable.schema itbl) inner_col in
+  let combine (orow, o) (irow, i) =
+    if swapped then ((irow, orow), Etable.append i o) else ((orow, irow), Etable.append o i)
   in
   let* outer_rows = access_rows db ~mode ~table:outer outer_access in
   let* pairs =
@@ -337,47 +339,59 @@ let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_c
         let* inner_rows = access_rows db ~mode ~table:inner Plan.Seq_scan in
         let buckets = Hashtbl.create 64 in
         List.iter
-          (fun ((_, ivs) as ir) ->
-            let k = ivs.(ii) in
+          (fun ((_, ir) as irow) ->
+            let k = Etable.cell ir ii in
             if k <> Value.Null then begin
               match Hashtbl.find_opt buckets (Value.encode k) with
-              | Some l -> l := ir :: !l
-              | None -> Hashtbl.add buckets (Value.encode k) (ref [ ir ])
+              | Some l -> l := irow :: !l
+              | None -> Hashtbl.add buckets (Value.encode k) (ref [ irow ])
             end)
           (List.rev inner_rows);
         Ok
           (List.concat_map
-             (fun ((_, ovs) as orow) ->
-               let k = ovs.(oi) in
+             (fun ((_, o) as orow) ->
+               let k = Etable.cell o oi in
                if k = Value.Null then []
                else
                  match Hashtbl.find_opt buckets (Value.encode k) with
                  | None -> []
                  | Some l ->
                      List.filter_map
-                       (fun ((_, ivs) as ir) ->
-                         if compare_values Ast.Eq ivs.(ii) k then Some (combine orow ir)
+                       (fun ((_, ir) as irow) ->
+                         if compare_values Ast.Eq (Etable.cell ir ii) k then
+                           Some (combine orow irow)
                          else None)
                        !l)
              outer_rows)
     | Plan.Index_loop_join ->
-        (* one exact-index probe on the inner table per outer row *)
+        (* one exact-index probe on the inner table per outer row; an inner
+           row matched by several outer rows is read through one reader *)
+        let seen = Hashtbl.create 64 in
+        let inner_row id =
+          match Hashtbl.find_opt seen id with
+          | Some r -> (id, r)
+          | None ->
+              let r = Etable.reader itbl id in
+              Hashtbl.add seen id r;
+              (id, r)
+        in
         List.fold_left
-          (fun acc ((_, ovs) as orow) ->
+          (fun acc ((_, o) as orow) ->
             let* acc = acc in
-            let k = ovs.(oi) in
+            let k = Etable.cell o oi in
             if k = Value.Null then Ok acc
             else
-              let* matches = Encdb.select_eq db ~table:inner ~col:inner_col ~mode k in
+              let* ids = Encdb.index_rows db ~table:inner ~col:inner_col ~mode ~lo:k ~hi:k () in
               let matches =
-                List.filter (fun (_, ivs) -> compare_values Ast.Eq ivs.(ii) k)
-                  (canonical matches)
+                List.filter
+                  (fun (_, ir) -> compare_values Ast.Eq (Etable.cell ir ii) k)
+                  (List.map inner_row (List.sort Int.compare ids))
               in
               Ok (List.rev_append (List.rev_map (combine orow) matches) acc))
           (Ok []) outer_rows
         |> Result.map List.rev
   in
-  Ok (List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) pairs)
+  Ok (canonical pairs)
 
 (* residual filter, order, limit, projection — shared between the locked
    executor and the snapshot fast path, so both produce identical bytes *)
@@ -388,10 +402,10 @@ let finish_select schema (s : Ast.select) candidates =
     | None -> Ok candidates
     | Some where ->
         List.fold_left
-          (fun acc (row, values) ->
+          (fun acc ((_, r) as row) ->
             let* acc = acc in
-            let* keep = eval schema values where in
-            Ok (if keep then (row, values) :: acc else acc))
+            let* keep = eval schema r where in
+            Ok (if keep then row :: acc else acc))
           (Ok []) candidates
         |> Result.map List.rev
   in
@@ -402,7 +416,7 @@ let finish_select schema (s : Ast.select) candidates =
         match Schema.col_index schema c with
         | i ->
             let cmp (_, a) (_, b) =
-              let d = Value.compare a.(i) b.(i) in
+              let d = Value.compare (Etable.cell a i) (Etable.cell b i) in
               match dir with Ast.Asc -> d | Ast.Desc -> -d
             in
             Ok (List.stable_sort cmp filtered)
@@ -420,6 +434,10 @@ let finish_select schema (s : Ast.select) candidates =
   in
   project schema s limited
 
+(* a protected cell that fails authentication aborts the statement with
+   {!Etable.cell}'s one error text, whichever plan read it *)
+let reading f = try f () with Failure e -> Error e
+
 (* per-plan latency histograms feed the cost model's feedback input; only
    touched while obs is on so obs-off processes keep an empty registry *)
 let timed plan f =
@@ -429,18 +447,19 @@ let timed plan f =
 
 let exec_resolved db ~mode (r : resolved) plan =
   timed plan (fun () ->
-      match (plan, r.join) with
-      | Plan.Scan { table; access; _ }, None ->
-          let* rows = access_rows db ~mode ~table access in
-          finish_select r.schema r.rs rows
-      | ( Plan.Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped; _ },
-          Some _ ) ->
-          let* rows =
-            join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col
-              ~swapped
-          in
-          finish_select r.schema r.rs rows
-      | _ -> Error "plan does not match the query's shape")
+      reading (fun () ->
+          match (plan, r.join) with
+          | Plan.Scan { table; access; _ }, None ->
+              let* rows = access_rows db ~mode ~table access in
+              finish_select r.schema r.rs rows
+          | ( Plan.Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped; _ },
+              Some _ ) ->
+              let* rows =
+                join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col
+                  ~swapped
+              in
+              finish_select r.schema r.rs rows
+          | _ -> Error "plan does not match the query's shape"))
 
 let run_select db ~mode (s : Ast.select) =
   let* r = resolve db s in
@@ -493,7 +512,9 @@ let snapshot_select snap (s : Ast.select) ~col candidates_of =
           (* unknown-column errors depend on scan order; let the executor
              report them canonically *)
           None
-      | ci -> Some (finish_select schema s (canonical (candidates_of ts ci))))
+      | ci ->
+          let rows = List.map (fun (id, vs) -> (id, Etable.of_values vs)) (candidates_of ts ci) in
+          Some (finish_select schema s (canonical rows)))
 
 let exec_snapshot snap stmt =
   match stmt with
@@ -537,10 +558,10 @@ let matching_rows db ~mode ~table where =
   | None -> Ok (List.map fst candidates)
   | Some w ->
       List.fold_left
-        (fun acc (row, values) ->
+        (fun acc (id, row) ->
           let* acc = acc in
-          let* keep = eval r.schema values w in
-          Ok (if keep then row :: acc else acc))
+          let* keep = eval r.schema row w in
+          Ok (if keep then id :: acc else acc))
         (Ok []) candidates
       |> Result.map List.rev
 

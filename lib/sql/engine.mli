@@ -11,6 +11,12 @@
     plan choice costs latency, never correctness (the perf bench's
     [--check] gate asserts exactly that).
 
+    Candidates are lazy {!Secdb_query.Encrypted_table.row}s: the tail
+    decrypts and authenticates a protected cell the first time it reads
+    it, and never decrypts a cell the statement does not read.  A cell
+    that fails authentication makes the statement return
+    [Error "cell (t,r,c): reason"], whichever plan read it.
+
     [EXPLAIN SELECT …] returns the chosen plan as text with its estimated
     cost, which the tests pin down (queries must not silently degrade to
     scans). *)

@@ -12,6 +12,8 @@ module E = Secdb_sql.Engine
 module Pl = Secdb_sql.Plan
 module Snap = Secdb_sql.Snapshot
 module Metrics = Secdb_obs.Metrics
+module Schema = Secdb_db.Schema
+module Etable = Secdb_query.Encrypted_table
 
 let exec db sql =
   match E.exec db sql with Ok r -> r | Error e -> Alcotest.fail (sql ^ ": " ^ e)
@@ -111,6 +113,134 @@ let test_join_labels_distinct () =
     (List.sort compare names) (List.sort_uniq compare names);
   Alcotest.(check bool) "outer access path in the label" true
     (List.mem "index-loop-join@bucket:total" names)
+
+(* --- lazy reads --------------------------------------------------------------
+
+   Every plan reads the cells a statement uses through the same lazy
+   reader, which decrypts a cell on its first read and never otherwise. *)
+
+(* orders (40 rows, cust = i mod 8) with exact and range indexes on total
+   and an exact index on cust; custs (10 rows) with an exact index on cust,
+   so every access path and both join strategies on both sides are live *)
+let orders_custs_db () =
+  let db = Encdb.create ~master:"tamper" ~profile:(Encdb.Fixed Encdb.Eax) () in
+  ignore (exec db "CREATE TABLE orders (id INT CLEAR, cust INT, total INT, note TEXT)");
+  ignore (exec db "CREATE TABLE custs (id INT CLEAR, cust INT, region INT)");
+  for i = 0 to 39 do
+    ignore
+      (exec db
+         (Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d, 'n%d')" i (i mod 8) (i * 7) i))
+  done;
+  for i = 0 to 9 do
+    ignore
+      (exec db (Printf.sprintf "INSERT INTO custs VALUES (%d, %d, %d)" i (i mod 8) (i mod 3)))
+  done;
+  List.iter
+    (fun sql -> ignore (exec db sql))
+    [
+      "CREATE INDEX ON orders (total)";
+      "CREATE RANGE INDEX ON orders (total) BUCKETS 4";
+      "CREATE INDEX ON orders (cust)";
+      "CREATE INDEX ON custs (cust)";
+    ];
+  db
+
+(* one tampered cell gives every candidate plan the same error, naming the
+   cell; a statement that never reads the cell is answered *)
+let test_tampered_cell_one_error () =
+  (* every candidate plan returns what the adaptive executor returns *)
+  let plans_agree db sql =
+    match P.parse sql with
+    | Ok (A.Select s) ->
+        let adaptive = E.exec_stmt db (A.Select s) in
+        List.iter
+          (fun p ->
+            if E.exec_plan db s p <> adaptive then
+              Alcotest.failf "%s: plan %s answers differently" sql (Pl.name p))
+          (E.candidate_plans db s);
+        adaptive
+    | _ -> Alcotest.fail ("parse: " ^ sql)
+  in
+  (* row 5 of [table.col] gets row 6's ciphertext: one relocated cell *)
+  let case ~table ~col ~reads ~skips =
+    let db = orders_custs_db () in
+    let tbl = Encdb.table db table in
+    let c = Schema.col_index (Etable.schema tbl) col in
+    Etable.set_raw tbl ~row:5 ~col:c (Option.get (Etable.raw_ciphertext tbl ~row:6 ~col:c));
+    let cell = Printf.sprintf "cell (%d,5,%d): " (Etable.id tbl) c in
+    List.iter
+      (fun sql ->
+        match plans_agree db sql with
+        | Error e when String.starts_with ~prefix:cell e -> ()
+        | Error e -> Alcotest.failf "%s: error %S does not name %s.%s" sql e table col
+        | Ok _ -> Alcotest.failf "%s: answered over tampered %s.%s" sql table col)
+      reads;
+    List.iter
+      (fun sql ->
+        match plans_agree db sql with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s never reads %s.%s, yet: %s" sql table col e)
+      skips;
+    db
+  in
+  let join what = "SELECT " ^ what ^ " FROM orders JOIN custs ON orders.cust = custs.cust" in
+  let window = " WHERE total BETWEEN 30 AND 60" in
+  let db =
+    case ~table:"orders" ~col:"total"
+      ~reads:[ "SELECT id FROM orders" ^ window; "SELECT id FROM orders ORDER BY total LIMIT 3" ]
+      ~skips:
+        [
+          "SELECT id, note FROM orders WHERE cust = 5";
+          "SELECT cust, COUNT(*) FROM orders GROUP BY cust";
+        ]
+  in
+  (match E.exec db "UPDATE orders SET note = 'x' WHERE cust = 5" with
+  | Ok (E.Affected 5) -> ()
+  | Ok r -> Alcotest.failf "update: %a" E.pp_result r
+  | Error e -> Alcotest.failf "update by cust never reads total, yet: %s" e);
+  ignore
+    (case ~table:"orders" ~col:"cust"
+       ~reads:
+         [
+           join "orders.id, region" ^ window;
+           "SELECT cust, COUNT(*) FROM orders" ^ window ^ " GROUP BY cust";
+           "SELECT id FROM orders" ^ window ^ " ORDER BY cust";
+           "SELECT id, cust FROM orders" ^ window;
+         ]
+       ~skips:[ "SELECT id, note FROM orders" ^ window; "SELECT SUM(total) FROM orders" ]);
+  ignore
+    (case ~table:"orders" ~col:"note"
+       ~reads:[ "SELECT note FROM orders" ^ window; "SELECT * FROM orders WHERE cust = 5" ]
+       ~skips:[ "SELECT id, cust FROM orders" ^ window; join "orders.id, region" ^ window ]);
+  ignore
+    (case ~table:"custs" ~col:"region"
+       ~reads:
+         [
+           join "orders.id, region" ^ window;
+           "SELECT region, COUNT(*) FROM custs GROUP BY region";
+         ]
+       ~skips:[ join "orders.id" ^ window; "SELECT id FROM custs WHERE cust = 5" ])
+
+(* every plan of this join reads orders.cust (40 cells), custs.cust and
+   custs.region (10 each): a cell read twice in one statement, e.g. an
+   inner row met again by a later index probe, is decrypted once *)
+let test_cells_decrypted_once () =
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let db = orders_custs_db () in
+  let s =
+    match P.parse "SELECT orders.id, region FROM orders JOIN custs ON orders.cust = custs.cust" with
+    | Ok (A.Select s) -> s
+    | _ -> Alcotest.fail "parse"
+  in
+  let cells = Metrics.counter "table.cells_decrypted" in
+  List.iter
+    (fun p ->
+      let c0 = Metrics.value cells in
+      (match E.exec_plan db s p with
+      | Ok (E.Rows { rows; _ }) -> Alcotest.(check int) "join rows" 50 (List.length rows)
+      | _ -> Alcotest.failf "plan %s failed" (Pl.name p));
+      Alcotest.(check int) (Pl.name p ^ ": cells decrypted") 60 (Metrics.value cells - c0))
+    (E.candidate_plans db s)
 
 (* --- oracle ----------------------------------------------------------------
 
@@ -349,6 +479,10 @@ let suites =
         Alcotest.test_case "deterministic tie-breaking" `Quick test_tie_break;
         Alcotest.test_case "db.rows gauge tracks live rows" `Quick test_row_gauges;
         Alcotest.test_case "join plan labels are distinct" `Quick test_join_labels_distinct;
+        Alcotest.test_case "one error per tampered cell, whatever the plan" `Quick
+          test_tampered_cell_one_error;
+        Alcotest.test_case "each cell read is decrypted once, whatever the plan" `Quick
+          test_cells_decrypted_once;
         Test_seed.qc prop_oracle;
       ] );
   ]

@@ -255,9 +255,32 @@ let test_histogram_estimates () =
   | _ -> Alcotest.fail "text projection");
   Alcotest.(check (option (float 0.0))) "null unprojected" None (H.to_float Value.Null)
 
+(* a value removed while the range is still being sampled must be the
+   one that goes, so the histogram equals one that never saw it *)
+let test_histogram_bootstrap_remove () =
+  let module H = Secdb_query.Histogram in
+  let v i = Value.Int (Int64.of_int i) in
+  let removed = H.create ~buckets:4 () in
+  List.iter (fun i -> H.add removed (v i)) [ 0; 10; 20; 30; 40; 50; 60 ];
+  H.remove removed (v 0);
+  List.iter (fun i -> H.add removed (v i)) [ 70; 80 ];
+  let never = H.create ~buckets:4 () in
+  List.iter (fun i -> H.add never (v i)) [ 10; 20; 30; 40; 50; 60; 70; 80 ];
+  Alcotest.(check int) "total" (H.total never) (H.total removed);
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "selectivity [%d, %d]" lo hi)
+        (H.selectivity never ~lo:(Some (v lo)) ~hi:(Some (v hi)))
+        (H.selectivity removed ~lo:(Some (v lo)) ~hi:(Some (v hi))))
+    [ (0, 9); (10, 30); (50, 60); (61, 80); (0, 80) ]
+
 let suites =
   suites
   @ [
       ( "query:histogram",
-        [ Alcotest.test_case "selectivity estimation" `Quick test_histogram_estimates ] );
+        [
+          Alcotest.test_case "selectivity estimation" `Quick test_histogram_estimates;
+          Alcotest.test_case "removal during bootstrap" `Quick test_histogram_bootstrap_remove;
+        ] );
     ]
