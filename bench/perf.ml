@@ -1,11 +1,17 @@
-(* Throughput suite for the encryption stack:
+(* Equivalence gate and primitive throughput suite for the encryption stack:
 
+     - [--check]: byte-for-byte equivalence of the kernel and fallback cipher
+       paths, GCM against a reference construction, the degraded fault VFS,
+       every candidate SQL plan (with pinned cell-decrypt counts) and the wire
+       against in-process dispatch;
      - cipher x mode MB/s on the [Block.into] kernel path, against the same
-       T-table AES forced through the generic string fallback (the only path
-       the seed had) — the kernel speedup numbers;
-     - AEAD MB/s over the fast AES;
-     - observability and VFS overhead, wire round trips, sharded serving,
-       replication and per-plan SQL latency.
+       T-table AES forced through the generic string fallback — the kernel
+       speedup numbers;
+     - AEAD and GHASH MB/s over the fast AES;
+     - observability and VFS passthrough overhead.
+
+   The serving, replication and per-statement SQL costs are measured end to
+   end against the real server by [secbench/], not here.
 
    Usage:
 
@@ -21,7 +27,6 @@ open Secdb_util
 module Block = Secdb_cipher.Block
 module Mode = Secdb_modes.Mode
 module Value = Secdb_db.Value
-module Schema = Secdb_db.Schema
 module Address = Secdb_db.Address
 module Vfs = Secdb_storage.Vfs
 module Pager = Secdb_storage.Pager
@@ -100,103 +105,6 @@ let aeads =
       Secdb_aead.Siv.make (Secdb_cipher.Aes_fast.cipher ~key:key_mac) aes_fast );
   ]
 
-(* The seed's AES-CTR path, reproduced exactly in shape for the
-   before/after comparison the kernel numbers are measured against:
-   an array-scratch block function (two scratch arrays, a blit per round,
-   a string per block) driven by the old keystream loop (a counter copy
-   and a truncated keystream string per block). *)
-module Seed_path = struct
-  let te0, te1, te2, te3 =
-    let xtime x =
-      let x2 = x lsl 1 in
-      if x land 0x80 <> 0 then (x2 lxor 0x1b) land 0xff else x2
-    in
-    let gmul a b =
-      let rec loop a b acc =
-        if b = 0 then acc
-        else loop (xtime a) (b lsr 1) (if b land 1 <> 0 then acc lxor a else acc)
-      in
-      loop a b 0
-    in
-    let rotr32 w n = ((w lsr n) lor (w lsl (32 - n))) land 0xffffffff in
-    let t0 = Array.make 256 0 in
-    for x = 0 to 255 do
-      let s = Secdb_cipher.Aes.sbox.(x) in
-      t0.(x) <- (gmul s 2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor gmul s 3
-    done;
-    ( t0,
-      Array.map (fun w -> rotr32 w 8) t0,
-      Array.map (fun w -> rotr32 w 16) t0,
-      Array.map (fun w -> rotr32 w 24) t0 )
-
-  let rounds = 10
-
-  let ek =
-    let bytes = Secdb_cipher.Aes.round_key_bytes (Secdb_cipher.Aes.expand_key key) in
-    Array.init
-      (Array.length bytes / 4)
-      (fun i ->
-        (bytes.(4 * i) lsl 24)
-        lor (bytes.((4 * i) + 1) lsl 16)
-        lor (bytes.((4 * i) + 2) lsl 8)
-        lor bytes.((4 * i) + 3))
-
-  let b0 w = (w lsr 24) land 0xff
-  let b1 w = (w lsr 16) land 0xff
-  let b2 w = (w lsr 8) land 0xff
-  let b3 w = w land 0xff
-
-  let encrypt_block block =
-    let w = Array.init 4 (fun c -> Xbytes.get_uint32_be block (4 * c)) in
-    for c = 0 to 3 do
-      w.(c) <- w.(c) lxor ek.(c)
-    done;
-    let t = Array.make 4 0 in
-    for round = 1 to rounds - 1 do
-      let rk = 4 * round in
-      for c = 0 to 3 do
-        t.(c) <-
-          te0.(b0 w.(c))
-          lxor te1.(b1 w.((c + 1) land 3))
-          lxor te2.(b2 w.((c + 2) land 3))
-          lxor te3.(b3 w.((c + 3) land 3))
-          lxor ek.(rk + c)
-      done;
-      Array.blit t 0 w 0 4
-    done;
-    let rk = 4 * rounds in
-    let s = Secdb_cipher.Aes.sbox in
-    for c = 0 to 3 do
-      t.(c) <-
-        (s.(b0 w.(c)) lsl 24)
-        lor (s.(b1 w.((c + 1) land 3)) lsl 16)
-        lor (s.(b2 w.((c + 2) land 3)) lsl 8)
-        lor s.(b3 w.((c + 3) land 3))
-        lxor ek.(rk + c)
-    done;
-    let b = Bytes.create 16 in
-    Array.iteri (fun c v -> Xbytes.set_uint32_be b (4 * c) v) t;
-    Bytes.unsafe_to_string b
-
-  let ctr ~nonce s =
-    let blk = Bytes.of_string nonce in
-    let counter = ref 0 in
-    let next () =
-      Xbytes.set_uint32_be blk 12 !counter;
-      incr counter;
-      encrypt_block (Bytes.to_string blk)
-    in
-    let out = Bytes.of_string s in
-    let off = ref 0 in
-    while !off < String.length s do
-      let ks = next () in
-      let n = min 16 (String.length s - !off) in
-      Xbytes.xor_into ~src:(Xbytes.take n ks) ~dst:out ~dst_off:!off;
-      off := !off + n
-    done;
-    Bytes.unsafe_to_string out
-end
-
 (* ------------------------------------------------------------ checks -- *)
 
 let check_failures = ref []
@@ -213,12 +121,9 @@ let check_kernel_vs_string () =
   let ct = Mode.cbc_encrypt aes_fast ~iv:nonce16 data in
   if Mode.cbc_decrypt aes_string ~iv:nonce16 ct <> data then
     fail_check "cbc roundtrip across paths";
-  (* the reference AES and the reproduced seed path agree with the kernel *)
-  let kernel_ctr = Mode.ctr aes_fast ~nonce:nonce16 data in
-  if Mode.ctr aes_ref ~nonce:nonce16 data <> kernel_ctr then
-    fail_check "aes-ref vs aes-fast ctr";
-  if Seed_path.ctr ~nonce:nonce16 data <> kernel_ctr then
-    fail_check "seed-path ctr vs aes-fast ctr"
+  (* the byte-wise reference AES agrees with the kernel *)
+  if Mode.ctr aes_ref ~nonce:nonce16 data <> Mode.ctr aes_fast ~nonce:nonce16 data then
+    fail_check "aes-ref vs aes-fast ctr"
 
 (* GCM reference construction, assembled from the bit-by-bit GHASH oracle
    and block-at-a-time CTR on the string closure: j0 = nonce || 00000001,
@@ -322,7 +227,7 @@ let net_db ?(shard = 0) () =
     ~first_index_id:((shard * 1_000_000) + 1000)
     ()
 
-let with_net_server ?shards f =
+let with_net_server f =
   let dir = Filename.temp_file "secdb_perf_net" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -331,7 +236,7 @@ let with_net_server ?shards f =
   let srv =
     match
       Secdb_net.Server.create ~seed:9L
-        ~config:(Secdb_net.Server.config ~auth_key ?shards ())
+        ~config:(Secdb_net.Server.config ~auth_key ())
         ~db:(fun shard -> net_db ~shard ())
         (Secdb_net.Wire.Unix_sock path)
     with
@@ -346,14 +251,13 @@ let with_net_server ?shards f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f (Secdb_net.Wire.Unix_sock path) auth_key)
 
-let net_connect ?(seed = 3L) addr auth_key =
-  match Secdb_net.Client.connect ~attempts:20 ~backoff:0.02 ~seed ~auth_key addr with
-  | Ok c -> c
-  | Error e -> failwith e
-
 let with_net_client f =
   with_net_server (fun addr auth_key ->
-      let c = net_connect addr auth_key in
+      let c =
+        match Secdb_net.Client.connect ~attempts:20 ~backoff:0.02 ~seed:3L ~auth_key addr with
+        | Ok c -> c
+        | Error e -> failwith e
+      in
       Fun.protect ~finally:(fun () -> Secdb_net.Client.close c) (fun () -> f c))
 
 let check_net () =
@@ -390,7 +294,7 @@ module SSnap = Secdb_sql.Snapshot
 
 (* two tables with an exact index, a range index and a joinable key, so
    every access path and both join strategies are live candidates *)
-let planner_db ~rows () =
+let planner_db () =
   let db =
     Secdb.Encdb.create ~master:"perf planner" ~profile:(Secdb.Encdb.Fixed Secdb.Encdb.Eax) ()
   in
@@ -399,10 +303,10 @@ let planner_db ~rows () =
   in
   run "CREATE TABLE orders (id INT CLEAR, cust INT, total INT)";
   run "CREATE TABLE custs (id INT CLEAR, cust INT, region INT)";
-  for i = 0 to rows - 1 do
+  for i = 0 to 159 do
     run (Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d)" i (i mod 40) (i * 7 mod 1000))
   done;
-  for i = 0 to (rows / 4) - 1 do
+  for i = 0 to 39 do
     run (Printf.sprintf "INSERT INTO custs VALUES (%d, %d, %d)" i (i mod 40) (i mod 5))
   done;
   run "CREATE INDEX ON orders (total)";
@@ -411,7 +315,7 @@ let planner_db ~rows () =
   db
 
 (* label, query, and the exact [table.cells_decrypted] its adaptive plan
-   costs on [planner_db ~rows:160]: a cell is decrypted the first time the
+   costs on [planner_db ()]: a cell is decrypted the first time the
    statement reads it, so these counts pin the executor's evaluation order
    as well as its plan *)
 let planner_queries =
@@ -476,7 +380,7 @@ let check_plans db snap label s ~adaptive =
   | None -> ()
 
 let check_planner () =
-  let db = planner_db ~rows:160 () in
+  let db = planner_db () in
   let snap = SSnap.of_db db in
   List.iter
     (fun (label, sql, pinned) ->
@@ -505,8 +409,8 @@ let check_planner () =
 
 (* The checks run with observability on, so the counter snapshot embedded
    in BENCH_perf.json reflects exactly the work the equivalence checks did;
-   the timed sections below run with it off (the default), keeping the
-   numbers comparable with PR 1. *)
+   the timed sections below run with it off (the default), so they time the
+   primitives alone. *)
 let check_snapshot = ref None
 
 let run_checks () =
@@ -570,26 +474,13 @@ let bench_modes ~fast =
     let rates = List.assoc cipher per_cipher in
     List.nth rates (Option.get (List.find_index (( = ) mode) mode_names))
   in
-  (* the acceptance number: the kernel CTR against the seed's own path
-     (array-scratch block function + per-block-string keystream loop) *)
-  let seed_rate =
-    let data = payload len in
-    let s = time_per_call ~min_time (fun () -> Seed_path.ctr ~nonce:nonce16 data) in
-    float_of_int len /. s /. 1e6
-  in
-  sample ~section:"modes" ~name:"aes-seed-path" ~qualifier:"ctr" ~unit_:"MB/s" seed_rate;
-  row "  %-12s %9s %9s %9s %9.1f %9s %9s" "aes-seed-path" "-" "-" "-" seed_rate "-" "-";
-  let ctr_speedup = rate "aes-fast" "ctr" /. seed_rate in
   let fallback_speedup = rate "aes-fast" "ctr" /. rate "aes-string" "ctr" in
   let cbc_speedup = rate "aes-fast" "cbc-enc" /. rate "aes-string" "cbc-enc" in
-  sample ~section:"kernel" ~name:"ctr-speedup" ~qualifier:"aes-fast/seed-path" ~unit_:"x"
-    ctr_speedup;
   sample ~section:"kernel" ~name:"ctr-speedup-fallback" ~qualifier:"aes-fast/aes-string"
     ~unit_:"x" fallback_speedup;
   sample ~section:"kernel" ~name:"cbc-enc-speedup" ~qualifier:"aes-fast/aes-string" ~unit_:"x"
     cbc_speedup;
-  row "  kernel ctr vs seed path %.2fx, vs generic fallback %.2fx; cbc-enc vs fallback %.2fx"
-    ctr_speedup fallback_speedup cbc_speedup
+  row "  kernel vs generic fallback: ctr %.2fx, cbc-enc %.2fx" fallback_speedup cbc_speedup
 
 let bench_aead ~fast =
   let len = if fast then 1024 else 4096 in
@@ -704,210 +595,6 @@ let bench_vfs_overhead ~fast =
   sample ~section:"vfs" ~name:"vfs-ratio" ~qualifier:"raw/vfs" ~unit_:"x" (rate_raw /. rate_vfs);
   row "  raw fd %9.1f   vfs %9.1f   raw/vfs %.3fx" rate_raw rate_vfs (rate_raw /. rate_vfs)
 
-let bench_net ~fast =
-  (* the pipelining win: the same number of round-trips, issued one at a
-     time (each call waits for its response) versus posted as one burst
-     and collected afterwards — the batch pays the socket latency once *)
-  let batch = 32 in
-  let min_time = if fast then 0.05 else 0.5 in
-  header "Wire RPC over a Unix socket, batches of %d pings (calls/s)" batch;
-  with_net_client (fun c ->
-      let ok = function
-        | Ok _ -> ()
-        | Error e -> failwith (Secdb_net.Client.error_to_string e)
-      in
-      let serial () =
-        for _ = 1 to batch do
-          ok (Secdb_net.Client.call c (Secdb_net.Wire.Ping "x"))
-        done
-      in
-      let burst = List.init batch (fun _ -> Secdb_net.Wire.Ping "x") in
-      let pipelined () = List.iter ok (Secdb_net.Client.pipeline c burst) in
-      let t_serial = time_per_call ~min_time serial /. float_of_int batch in
-      let t_pipe = time_per_call ~min_time pipelined /. float_of_int batch in
-      let speedup = t_serial /. t_pipe in
-      sample ~section:"net" ~name:"rtt-serial" ~qualifier:"unix-socket" ~unit_:"calls/s"
-        (1. /. t_serial);
-      sample ~section:"net" ~name:"rtt-pipelined"
-        ~qualifier:(Printf.sprintf "batch-%d" batch)
-        ~unit_:"calls/s" (1. /. t_pipe);
-      sample ~section:"net" ~name:"pipeline-speedup" ~qualifier:"serial/pipelined" ~unit_:"x"
-        speedup;
-      row "  serial %9.0f   pipelined %9.0f   speedup %.2fx" (1. /. t_serial) (1. /. t_pipe)
-        speedup)
-
-let bench_server ~fast =
-  (* the tentpole number: the same pipelined SQL workload — four clients,
-     one table each, half inserts, half point selects — against 1, 2 and
-     4 shards.  On a 1-CPU container the 4-shard row lands at or below
-     1x and is recorded honestly; the speedup needs real cores. *)
-  let nclients = 4 in
-  let per_client = if fast then 60 else 300 in
-  header "Sharded serving: %d pipelined SQL clients, %d ops each (ops/s)" nclients per_client;
-  let ok = function
-    | Ok _ -> ()
-    | Error e -> failwith (Secdb_net.Client.error_to_string e)
-  in
-  let run_at shards =
-    with_net_server ~shards (fun addr auth_key ->
-        let clients =
-          Array.init nclients (fun i ->
-              net_connect ~seed:(Int64.of_int (100 + i)) addr auth_key)
-        in
-        Fun.protect
-          ~finally:(fun () -> Array.iter Secdb_net.Client.close clients)
-          (fun () ->
-            (* one table per client, created outside the timed region *)
-            Array.iteri
-              (fun i c ->
-                let t = Printf.sprintf "s%d" i in
-                ok
-                  (Secdb_net.Client.call c
-                     (Secdb_net.Wire.Sql
-                        (Printf.sprintf "CREATE TABLE %s (id INT CLEAR, v TEXT)" t)));
-                ok
-                  (Secdb_net.Client.call c
-                     (Secdb_net.Wire.Sql (Printf.sprintf "CREATE INDEX ON %s (v)" t))))
-              clients;
-            let burst i =
-              let t = Printf.sprintf "s%d" i in
-              List.init per_client (fun j ->
-                  Secdb_net.Wire.Sql
-                    (if j land 1 = 0 then
-                       Printf.sprintf "INSERT INTO %s VALUES (%d, 'v%03d')" t j (j mod 37)
-                     else Printf.sprintf "SELECT id FROM %s WHERE v = 'v%03d'" t (j mod 37)))
-            in
-            let t0 = Unix.gettimeofday () in
-            let workers =
-              Array.to_list
-                (Array.mapi
-                   (fun i c ->
-                     Thread.create
-                       (fun () -> List.iter ok (Secdb_net.Client.pipeline c (burst i)))
-                       ())
-                   clients)
-            in
-            List.iter Thread.join workers;
-            let dt = Unix.gettimeofday () -. t0 in
-            float_of_int (nclients * per_client) /. dt))
-  in
-  let rates = List.map (fun s -> (s, run_at s)) [ 1; 2; 4 ] in
-  List.iter
-    (fun (s, r) ->
-      sample ~section:"server" ~name:"sql-pipelined"
-        ~qualifier:(Printf.sprintf "%d-shards" s)
-        ~unit_:"ops/s" r;
-      row "  %d shard(s) %9.0f ops/s" s r)
-    rates;
-  let speedup = List.assoc 4 rates /. List.assoc 1 rates in
-  sample ~section:"server" ~name:"speedup-4s" ~qualifier:"4-shards/1-shard" ~unit_:"x" speedup;
-  row "  speedup-4s %.2fx (%d domain(s) recommended here)" speedup (Domain.recommended_domain_count ())
-
-let bench_repl ~fast =
-  (* the replication pipeline: the primary's seal+append+fsync rate, then
-     the replica's critical path — sealed records read back from the log,
-     re-verified (CRC, frame, sequence-as-AD, AEAD tag) and applied,
-     routed across 2 shards.  The replica side bounds how fast a replica
-     can catch up; the primary side is the write-path logging overhead. *)
-  let n = if fast then 400 else 3000 in
-  header "Replication pipeline over %d ops (ops/s)" n;
-  let aead = Secdb_aead.Eax.make aes_fast in
-  let nonce = Secdb_aead.Nonce.counter ~size:aead.Secdb_aead.Aead.nonce_size () in
-  let shards = 2 in
-  let mkdb shard =
-    Secdb.Encdb.create ~master:"bench repl" ~profile:(Secdb.Encdb.Fixed Secdb.Encdb.Eax)
-      ~seed:(Int64.of_int (51 + shard))
-      ~first_table_id:((shard * 1_000_000) + 1)
-      ~first_index_id:((shard * 1_000_000) + 1000)
-      ()
-  in
-  let rschema name =
-    Schema.v ~table_name:name
-      [ Schema.column ~protection:Schema.Clear "id" Value.Kint; Schema.column "v" Value.Ktext ]
-  in
-  let ops =
-    Secdb.Oplog.Create_table (rschema "ra")
-    :: Secdb.Oplog.Create_table (rschema "rb")
-    :: List.init n (fun i ->
-           Secdb.Oplog.Insert
-             {
-               table = (if i land 1 = 0 then "ra" else "rb");
-               values = [ Value.Int (Int64.of_int i); Value.Text (Printf.sprintf "v%06d" i) ];
-             })
-  in
-  let ctl = Vfs.Fault.make ~seed:31 () in
-  let w = Secdb.Oplog.create ~vfs:(Vfs.Fault.vfs ctl) ~path:"mem:repl.log" ~aead ~nonce () in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun op -> ignore (Secdb.Oplog.append w op)) ops;
-  let seal_rate = float_of_int (List.length ops) /. (Unix.gettimeofday () -. t0) in
-  let dbs = Array.init shards mkdb in
-  let applied = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let rec pull ack =
-    match Secdb.Oplog.read_sealed w ~from:ack ~max:256 with
-    | [] -> ()
-    | records ->
-        List.iter
-          (fun (seq, sealed) ->
-            match Secdb.Oplog.verify_sealed ~aead ~seq sealed with
-            | Error e -> failwith e
-            | Ok op -> (
-                match Secdb_net.Repl.apply_routed dbs op with
-                | Ok () -> incr applied
-                | Error e -> failwith e))
-          records;
-        pull (ack + List.length records)
-  in
-  pull 0;
-  let apply_rate = float_of_int !applied /. (Unix.gettimeofday () -. t0) in
-  Secdb.Oplog.close w;
-  sample ~section:"repl" ~name:"seal-append" ~qualifier:"mem-vfs" ~unit_:"ops/s" seal_rate;
-  sample ~section:"repl" ~name:"ship-verify-apply" ~qualifier:"2-shards" ~unit_:"ops/s"
-    apply_rate;
-  row "  seal+append %9.0f ops/s   ship+verify+apply %9.0f ops/s (%d ops)" seal_rate apply_rate
-    !applied
-
-let bench_planner ~fast =
-  (* plan-vs-plan: time every candidate plan the planner could have picked
-     alongside the adaptive choice.  The adaptive executor runs the same
-     code path as one of the forced plans, so adaptive/best should sit at
-     ~1x (noise aside) and adaptive/worst well below 1x on shapes where
-     the plans genuinely differ. *)
-  let rows = if fast then 200 else 1600 in
-  let min_time = if fast then 0.02 else 0.2 in
-  let db = planner_db ~rows () in
-  header "Adaptive planner vs forced plans, %d rows (ms/query)" rows;
-  List.iter
-    (fun (label, sql, _) ->
-      let s = planner_select sql in
-      let force p =
-        match SE.exec_plan db s p with Ok r -> r | Error e -> failwith e
-      in
-      let plan_times =
-        List.map
-          (fun p -> (SPl.name p, time_per_call ~min_time (fun () -> force p)))
-          (SE.candidate_plans db s)
-      in
-      let adaptive =
-        time_per_call ~min_time (fun () ->
-            match SE.exec_stmt db (SA.Select s) with Ok r -> r | Error e -> failwith e)
-      in
-      List.iter
-        (fun (n, t) -> sample ~section:"planner" ~name:label ~qualifier:n ~unit_:"ms" (t *. 1e3))
-        plan_times;
-      sample ~section:"planner" ~name:label ~qualifier:"adaptive" ~unit_:"ms" (adaptive *. 1e3);
-      let pick f = List.fold_left (fun acc (_, t) -> f acc t) (snd (List.hd plan_times)) plan_times in
-      let best = pick min and worst = pick max in
-      sample ~section:"planner" ~name:label ~qualifier:"adaptive-vs-best" ~unit_:"x"
-        (adaptive /. best);
-      sample ~section:"planner" ~name:label ~qualifier:"adaptive-vs-worst" ~unit_:"x"
-        (adaptive /. worst);
-      row "  %-12s adaptive %8.4f ms   best %8.4f   worst %8.4f   vs-best %.2fx   [%s]" label
-        (adaptive *. 1e3) (best *. 1e3) (worst *. 1e3)
-        (adaptive /. best)
-        (String.concat " " (List.map (fun (n, t) -> Printf.sprintf "%s=%.4f" n (t *. 1e3)) plan_times)))
-    planner_queries
-
 (* ------------------------------------------------------------- JSON -- *)
 
 let json_escape s =
@@ -926,8 +613,6 @@ let write_json ~fast path =
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"suite\": \"secdb-perf\",\n");
   Buffer.add_string b (Printf.sprintf "  \"fast\": %b,\n" fast);
-  Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string b "  \"samples\": [\n";
   let entries =
     List.rev_map
@@ -960,7 +645,7 @@ let write_json ~fast path =
 (* -------------------------------------------------------------- cli -- *)
 
 let () =
-  (* the net benches write to sockets the peer may already have closed;
+  (* [check_net] writes to a socket the peer may already have closed;
      surface that as EPIPE instead of dying on SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let args = Array.to_list Sys.argv in
@@ -973,9 +658,5 @@ let () =
     bench_aead ~fast;
     bench_obs_overhead ~fast;
     bench_vfs_overhead ~fast;
-    bench_net ~fast;
-    bench_server ~fast;
-    bench_repl ~fast;
-    bench_planner ~fast;
     write_json ~fast "BENCH_perf.json"
   end

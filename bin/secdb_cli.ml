@@ -574,6 +574,15 @@ let int_at_least min =
   in
   Arg.conv (parse, Fmt.int)
 
+(* rejects zero, negatives and nan *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x > 0.) -> Error (`Msg (Printf.sprintf "%s is not a positive number" s))
+    | r -> r
+  in
+  Arg.conv (parse, Fmt.float)
+
 let net_addr_arg =
   Arg.(
     value
@@ -633,7 +642,7 @@ let serve_cmd =
   in
   let read_timeout =
     Arg.(
-      value & opt float 30.
+      value & opt positive_float 30.
       & info [ "read-timeout" ] ~docv:"SECONDS"
           ~doc:"Drop a connection idle for this long (also bounds half-open peers).")
   in

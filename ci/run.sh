@@ -35,6 +35,13 @@ step "perf equivalence + planner byte-identity checks"
 # of decrypted cells
 dune exec bench/perf.exe -- --fast --check
 
+step "perf timing pass (runs once; asserts no timing bound, only that its JSON parses)"
+# from a scratch directory, so no BENCH_perf.json lands in the tree
+perf_exe="$PWD/_build/default/bench/perf.exe"
+perf_dir=$(mktemp -d)
+trap 'rm -rf "$perf_dir"' EXIT
+(cd "$perf_dir" && "$perf_exe" --fast && python3 -m json.tool BENCH_perf.json >/dev/null)
+
 step "leakage bounds (range index attack bench, fixed seeds)"
 dune build @leakage
 

@@ -656,9 +656,6 @@ let materialise t name rows =
 let select_range t ~table ~col ?mode ?lo ?hi () =
   Result.bind (index_rows t ~table ~col ?mode ?lo ?hi ()) (materialise t table)
 
-let select_range_bucketed t ~table ~col ?lo ?hi () =
-  Result.bind (bucket_rows t ~table ~col ?lo ?hi ()) (materialise t table)
-
 let select_eq t ~table:name ~col ?(mode = Walker.Corrected) probe =
   ensure_open t;
   if Hashtbl.mem t.indexes (name, col) then

@@ -148,20 +148,6 @@ val range_index_nbuckets : t -> table:string -> col:string -> int option
 (** Bucket count of the column's range index — the planner's leakage/cost
     datum, surfaced by EXPLAIN. *)
 
-val select_range_bucketed :
-  t ->
-  table:string ->
-  col:string ->
-  ?lo:Secdb_db.Value.t ->
-  ?hi:Secdb_db.Value.t ->
-  unit ->
-  ((int * Secdb_db.Value.t array) list, string) result
-(** Inclusive range query through the bucketized index: unseal the
-    overlapping buckets, filter exactly, fetch matching rows (ascending
-    row order — a full scan's visible order, so the SQL planner can use
-    either without changing result bytes).  [Error] on integrity failure
-    or when the column has no range index. *)
-
 val insert : t -> table:string -> Secdb_db.Value.t list -> int
 (** Insert a row, updating all indexes on the table; returns the row. *)
 

@@ -32,17 +32,6 @@ let op_table = function
   | Update { table; _ }
   | Delete { table; _ } -> table
 
-let pp_op ppf = function
-  | Create_table s -> Fmt.pf ppf "CREATE TABLE %s" s.Schema.table_name
-  | Create_index { table; col } -> Fmt.pf ppf "CREATE INDEX %s.%s" table col
-  | Create_range_index { table; col; buckets } ->
-      Fmt.pf ppf "CREATE RANGE INDEX %s.%s (%d buckets)" table col buckets
-  | Insert { table; values } ->
-      Fmt.pf ppf "INSERT %s (%a)" table (Fmt.list ~sep:Fmt.comma Value.pp) values
-  | Update { table; row; col; value } ->
-      Fmt.pf ppf "UPDATE %s row %d %s <- %a" table row col Value.pp value
-  | Delete { table; row } -> Fmt.pf ppf "DELETE %s row %d" table row
-
 let encode_op = function
   | Create_table schema -> Codec.frame [ "ctb"; Storage.encode_schema schema ]
   | Create_index { table; col } -> Codec.frame [ "cix"; table; col ]

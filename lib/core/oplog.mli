@@ -33,8 +33,6 @@ val op_table : op -> string
 (** The table an operation addresses — the shard-routing key, so a replica
     applies each record to the same shard the primary did. *)
 
-val pp_op : Format.formatter -> op -> unit
-
 (** {2 Writing} *)
 
 type sync_policy =

@@ -14,18 +14,23 @@ type config = {
   max_frame : int;
   max_inflight : int;
   read_timeout : float;
-  write_timeout : float;
   shards : int;
 }
 
+(* seconds a single frame write may take *)
+let write_timeout = 30.
+
 let config ?(max_frame = Wire.default_max_frame) ?(max_inflight = 64) ?(read_timeout = 30.)
-    ?(write_timeout = 30.) ?shards ~auth_key () =
+    ?shards ~auth_key () =
   let shards = match shards with Some n -> n | None -> Domain.recommended_domain_count () in
   if String.length auth_key < 16 then invalid_arg "Server.config: auth key shorter than 16 bytes";
   if max_frame < 64 then invalid_arg "Server.config: max_frame too small for a handshake";
   if max_inflight < 1 then invalid_arg "Server.config: max_inflight must be positive";
+  (* a deadline already past drops every client before its handshake; the
+     comparison is written so that nan fails it too *)
+  if not (read_timeout > 0.) then invalid_arg "Server.config: read_timeout must be positive";
   if shards < 1 then invalid_arg "Server.config: shards must be positive";
-  { auth_key; max_frame; max_inflight; read_timeout; write_timeout; shards }
+  { auth_key; max_frame; max_inflight; read_timeout; shards }
 
 (* Registered per server (not at module load) so a process that never
    serves — `secdb stats`, say — keeps its metric registry unchanged. *)
@@ -459,7 +464,7 @@ let observe_out t frame = if Obs.on () then Metrics.add t.m.m_bytes_out (Wire.fr
 
 let send t fd frame =
   observe_out t frame;
-  Wire.write_frame ~timeout:t.cfg.write_timeout fd frame
+  Wire.write_frame ~timeout:write_timeout fd frame
 
 (* Challenge–response over the fresh connection.  Returns the per-session
    request-MAC key; the master key plays no part here — both sides work
@@ -573,7 +578,7 @@ let serve_conn t fd =
                         match
                           Wire.write_frame
                             ~stop:(fun () -> Atomic.get dead)
-                            ~timeout:t.cfg.write_timeout fd frame
+                            ~timeout:write_timeout fd frame
                         with
                         | Ok () -> ()
                         | Error _ -> Atomic.set dead true

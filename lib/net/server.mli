@@ -31,16 +31,17 @@ type config = {
   auth_key : string;  (** 32-byte credential from {!Wire.auth_key_of_master} *)
   max_frame : int;  (** largest accepted frame ({!Wire.default_max_frame}) *)
   max_inflight : int;  (** per-connection response-queue bound (default 64) *)
-  read_timeout : float;  (** seconds a connection may sit idle (default 30) *)
-  write_timeout : float;  (** seconds a single frame write may take (default 30) *)
+  read_timeout : float;  (** seconds a connection may sit idle (default 30, must be > 0) *)
   shards : int;  (** data-plane shard count (default [Domain.recommended_domain_count ()]) *)
 }
 
+(** Raises [Invalid_argument] on an auth key shorter than 16 bytes, a
+    [max_frame] too small for a handshake, or a non-positive [max_inflight],
+    [read_timeout] or shard count. *)
 val config :
   ?max_frame:int ->
   ?max_inflight:int ->
   ?read_timeout:float ->
-  ?write_timeout:float ->
   ?shards:int ->
   auth_key:string ->
   unit ->

@@ -10,10 +10,6 @@ let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
 let on () = Atomic.get flag
 
-(* [noop] names the disabled state for call sites that want to restore it
-   explicitly after a scoped enable. *)
-let noop = disable
-
 let with_enabled f =
   let was = on () in
   enable ();

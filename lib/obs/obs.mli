@@ -8,9 +8,6 @@
 val enable : unit -> unit
 val disable : unit -> unit
 
-val noop : unit -> unit
-(** Alias for [disable]: returns the layer to its free, do-nothing state. *)
-
 val on : unit -> bool
 (** Current state of the switch. *)
 

@@ -124,7 +124,6 @@ module Fault = struct
   let crash_after_writes c n = c.crash_at <- Some (c.writes + n)
   let set_short_reads c b = c.short_reads <- b
   let set_torn_writes c b = c.torn_writes <- b
-  let write_count c = c.writes
   let crashed c = c.is_crashed
 
   let fail_op c ~op ~after ~err =
@@ -168,8 +167,6 @@ module Fault = struct
         let torn = if len <= 1 then 0 else Rng.int c.rng len in
         if torn > 0 then apply_write fs ~pos s ~off ~len:torn);
     c.is_crashed <- true
-
-  let crash_now c = if not c.is_crashed then crash c ~in_flight:None
 
   let guard c path = if c.is_crashed then raise (Crashed path)
 

@@ -81,9 +81,6 @@ module Fault : sig
       and {!Crashed} is raised from that write and every operation after
       it. *)
 
-  val crash_now : ctl -> unit
-  (** Fire the crash immediately (no write in flight). *)
-
   val fail_op : ctl -> op:[ `Pread | `Pwrite | `Fsync ] -> after:int -> err:[ `EIO | `ENOSPC ] -> unit
   (** Arm a one-shot error: the [after]-th subsequent operation of that
       kind raises {!Io_error} without touching the disk. *)
@@ -96,9 +93,6 @@ module Fault : sig
       strict prefix (no crash; callers must loop). *)
 
   (** {3 Observation} *)
-
-  val write_count : ctl -> int
-  (** Total [pwrite] calls so far (the crash-matrix coordinate space). *)
 
   val crashed : ctl -> bool
 

@@ -523,7 +523,10 @@ let test_config_bounds () =
   rejects "0 shards" (fun () -> Server.config ~auth_key ~shards:0 ());
   rejects "max_inflight 0" (fun () -> Server.config ~auth_key ~max_inflight:0 ());
   rejects "a short auth key" (fun () -> Server.config ~auth_key:"short" ());
-  rejects "a tiny max_frame" (fun () -> Server.config ~auth_key ~max_frame:8 ())
+  rejects "a tiny max_frame" (fun () -> Server.config ~auth_key ~max_frame:8 ());
+  rejects "read_timeout 0" (fun () -> Server.config ~auth_key ~read_timeout:0. ());
+  rejects "a negative read_timeout" (fun () -> Server.config ~auth_key ~read_timeout:(-1.) ());
+  rejects "a nan read_timeout" (fun () -> Server.config ~auth_key ~read_timeout:Float.nan ())
 
 let suites =
   [
