@@ -918,6 +918,25 @@ let exp23 ~fast =
 
 (* ---------------------------------------------------------------- EXP24 *)
 
+(* An LRU pool of [capacity] node pages: [touch] uses a page and says
+   whether it was already resident.  Each page carries the tick of its
+   last use, so the victim is the page with the oldest tick. *)
+let lru_pool ~capacity =
+  let last_use = Hashtbl.create capacity and tick = ref 0 in
+  fun page ->
+    incr tick;
+    let hit = Hashtbl.mem last_use page in
+    if (not hit) && Hashtbl.length last_use >= capacity then begin
+      let victim, _ =
+        Hashtbl.fold
+          (fun p t (vp, vt) -> if t < vt then (p, t) else (vp, vt))
+          last_use (0, max_int)
+      in
+      Hashtbl.remove last_use victim
+    end;
+    Hashtbl.replace last_use page !tick;
+    hit
+
 let exp24 ~fast =
   header "EXP24  Buffer-pool behaviour of encrypted index traversals";
   row "  index nodes stored one-per-page; random lookups replayed through an";
@@ -938,36 +957,23 @@ let exp24 ~fast =
         |> List.stable_sort (fun (a, _) (b, _) -> Value.compare a b)
       in
       let tree = B.bulk_load ~order ~id:1000 ~codec entries in
-      (* lay every node out on its own page *)
-      let path = Filename.concat (Filename.get_temp_dir_name ()) "secdb_exp24.pg" in
       List.iter
         (fun cache_pages ->
-          let pager =
-            Secdb_storage.Pager.create ~path ~page_size:4096 ~cache_pages ()
-          in
-          let page_of = Hashtbl.create 256 in
-          B.iter_nodes
-            (fun v ->
-              let page = Secdb_storage.Pager.alloc pager in
-              Secdb_storage.Pager.write pager page (String.make 64 'n');
-              Hashtbl.replace page_of v.B.row page)
-            tree;
-          Secdb_storage.Pager.flush pager;
-          Secdb_storage.Pager.reset_stats pager;
+          (* the pool starts warm with the pages written last: every node
+             is laid out on its own page in iter_nodes order *)
+          let touch = lru_pool ~capacity:cache_pages in
+          B.iter_nodes (fun v -> ignore (touch v.B.row)) tree;
+          let hits = ref 0 and misses = ref 0 in
           let qrng = Rng.create ~seed:125L () in
           for _ = 1 to queries do
             let probe = Value.Int (Int64.of_int (Rng.int qrng n)) in
             List.iter
-              (fun node_row ->
-                ignore (Secdb_storage.Pager.read pager (Hashtbl.find page_of node_row)))
+              (fun node_row -> if touch node_row then incr hits else incr misses)
               (B.path_to tree probe)
           done;
-          let st = Secdb_storage.Pager.stats pager in
-          let total = st.Secdb_storage.Pager.cache_hits + st.Secdb_storage.Pager.cache_misses in
           row "  %6d %8d %11.1f%% %14d %12d" order cache_pages
-            (100.0 *. float_of_int st.Secdb_storage.Pager.cache_hits /. float_of_int total)
-            st.Secdb_storage.Pager.disk_reads (B.nnodes tree);
-          Secdb_storage.Pager.close pager)
+            (100.0 *. float_of_int !hits /. float_of_int (!hits + !misses))
+            !misses (B.nnodes tree))
         (if fast then [ 8; 128 ] else [ 8; 64; 512 ]))
     (if fast then [ 4; 64 ] else [ 4; 16; 64 ]);
   row "  shape: the classic B+-tree result, unchanged by encryption: fan-out";

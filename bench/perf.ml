@@ -203,7 +203,7 @@ let check_fault_vfs () =
       Vfs.Fault.set_torn_writes ctl true
     end;
     let vfs = Vfs.Fault.vfs ctl in
-    let p = Pager.create ~path:"mem:perf.pg" ~page_size:128 ~cache_pages:4 ~vfs () in
+    let p = Pager.create ~path:"mem:perf.pg" ~page_size:128 ~vfs () in
     let store = Blob_store.attach p in
     let id = Blob_store.store store (String.make 1500 'p') in
     (match Blob_store.load store id with

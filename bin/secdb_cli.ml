@@ -7,7 +7,7 @@
      digest    hash a string with the bundled hash functions
      attack    run one of the paper's attacks (A1..A8)
      stats     run a deterministic workload and dump the metric registry
-     fsck      check a pager file (header, free list, blob chains)
+     fsck      check a pager file (header, blob chains)
      pgdemo    write a small deterministic pager file for fsck demos
      profiles  list the protection profiles
      serve     serve over the authenticated wire (standalone, primary or replica)
@@ -290,8 +290,8 @@ let sql_cmd =
     (Cmd.info "sql" ~doc:"Run SQL statements against a fresh in-memory encrypted database.")
     Term.(const run $ profile_arg $ master_arg $ script $ file)
 
-(* A fixed workload that touches every instrumented layer — pager cache,
-   blob store, AEAD (including a rejected tamper), table encryption, an
+(* A fixed workload that touches every instrumented layer — pager, blob
+   store, AEAD (including a rejected tamper), table encryption, an
    index walk, the shard map and the oplog — sized so every counter value
    is a pure function of the code, never of timing.  The cram suite pins
    the full text dump, which is what makes the counters a regression gate
@@ -306,10 +306,9 @@ let stats_workload () =
     let path = Filename.temp_file "secdb_stats" suffix in
     Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
   in
-  (* pager: a 4-frame cache over 8 pages forces misses and evictions, the
-     re-reads of the hot tail are the hits *)
+  (* pager: 8 pages written through and read back *)
   with_temp ".pg" (fun path ->
-      let p = Pager.create ~path ~page_size:256 ~cache_pages:4 () in
+      let p = Pager.create ~path ~page_size:256 () in
       for i = 1 to 8 do
         let page = Pager.alloc p in
         Pager.write p page (Printf.sprintf "page-%d" i)
@@ -317,19 +316,15 @@ let stats_workload () =
       for page = 1 to 8 do
         ignore (Pager.read p page)
       done;
-      for _ = 1 to 3 do
-        ignore (Pager.read p 8)
-      done;
       Pager.close p);
   (* blob store: one chained blob spanning several pages, stored and read back *)
   with_temp ".blob" (fun path ->
-      let p = Pager.create ~path ~page_size:256 ~cache_pages:8 () in
+      let p = Pager.create ~path ~page_size:256 () in
       let blob = Blob.attach p in
       let id = Blob.store blob (String.make 1000 'b') in
       (match Blob.load blob id with
       | Ok data when String.length data = 1000 -> ()
       | Ok _ | Error _ -> failwith "stats workload: blob roundtrip");
-      Blob.delete blob id;
       Pager.close p);
   (* AEAD cells, plus one tampered cell that the authenticated decrypt
      must reject.  One counter nonce source serves every cell below, so no
@@ -391,9 +386,8 @@ let stats_workload () =
    with
   | Ok a when List.length a.Secdb_query.Walker.results = 10 -> ()
   | Ok _ | Error _ -> failwith "stats workload: walker range");
-  (* an encrypted SQL table through the adaptive planner, so the cost
-     model's own inputs — db.rows{table} cardinality and the pager hit
-     rate — land in the dump alongside the raw cache counters *)
+  (* an encrypted SQL table through the planner, so the cost model's
+     input — the db.rows{table} cardinality — lands in the dump *)
   (let db =
      Secdb.Encdb.create ~master:"stats" ~profile:(Secdb.Encdb.Fixed Secdb.Encdb.Eax) ()
    in
@@ -482,20 +476,17 @@ let stats_cmd =
 
 (* fsck + a deterministic demo image for the cram suite.  The demo layout
    is fixed: page size 128, blob a = 600 bytes (6 pages), blob b = one
-   page, a third 2-page blob stored and deleted so the free list is
-   non-trivial. *)
+   page, blob c = 200 bytes (2 pages). *)
 let pgdemo_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let run path =
     let module Pager = Secdb_storage.Pager in
     let module Blob = Secdb_storage.Blob_store in
-    let p = Pager.create ~path ~page_size:128 ~cache_pages:8 () in
+    let p = Pager.create ~path ~page_size:128 () in
     let blob = Blob.attach p in
     let a = Blob.store blob (String.make 600 'A') in
     let b = Blob.store blob "hello, demo blob" in
-    let c = Blob.store blob (String.make 200 'C') in
-    Blob.delete blob c;
-    Pager.flush p;
+    ignore (Blob.store blob (String.make 200 'C'));
     let pages = Pager.page_count p in
     Pager.close p;
     Printf.printf "created %s: pages=%d blob-a=%d blob-b=%d\n" path pages a b
@@ -516,9 +507,7 @@ let fsck_cmd =
     let r = Fsck.run ~roots ~path () in
     Printf.printf "fsck %s\n" path;
     if r.Fsck.page_size > 0 then begin
-      Printf.printf "  page size  %d\n  pages      %d\n  free       [%s]\n" r.Fsck.page_size
-        r.Fsck.npages
-        (String.concat " " (List.map string_of_int r.Fsck.free));
+      Printf.printf "  page size  %d\n  pages      %d\n" r.Fsck.page_size r.Fsck.npages;
       List.iter
         (fun (head, pages) -> Printf.printf "  blob %-6d %d pages\n" head (List.length pages))
         r.Fsck.chains
@@ -532,8 +521,8 @@ let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Check a pager file without trusting it: header sanity, free-list acyclicity, blob \
-          chain bounds and free-list overlap.")
+         "Check a pager file without trusting it: header sanity, trailing garbage, and blob \
+          chain bounds and cycles.")
     Term.(const run $ path $ roots)
 
 let profiles_cmd =
@@ -835,7 +824,7 @@ let restore_cmd =
             | Ok stmt ->
                 let table = Secdb_sql.Ast.stmt_table stmt in
                 let db = dbs.(Secdb_db.Shard.key_index ~shards table) in
-                (match Secdb_sql.Engine.exec db src with
+                (match Secdb_sql.Engine.exec_stmt db stmt with
                 | Ok o -> Fmt.pr "%a@." Secdb_sql.Engine.pp_result o
                 | Error e ->
                     Printf.printf "error: %s\n" e;

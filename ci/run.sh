@@ -46,7 +46,17 @@ step "leakage bounds (range index attack bench, fixed seeds)"
 dune build @leakage
 
 step "crash-safety matrix (explicit rerun of the durability suites)"
-dune exec -- test/test_main.exe test 'storage:crash|storage:fsck|integration:paged|repl:crash'
+# alcotest only fails a filter that selects nothing at all, so a renamed
+# suite would silently drop out of the rerun: each must list a test
+crash_suites="storage:crash storage:fsck integration:paged repl:crash"
+listed=$(dune exec -- test/test_main.exe list --color=never)
+for suite in $crash_suites; do
+  if ! grep -q "^$suite[[:space:]]" <<<"$listed"; then
+    echo "crash-matrix suite $suite lists no test" >&2
+    exit 1
+  fi
+done
+dune exec -- test/test_main.exe test "${crash_suites// /|}"
 
 step "serve smoke (networked client/server end to end)"
 ci/serve_smoke.sh

@@ -477,9 +477,9 @@ let save t ~path ?(page_size = 4096) ?vfs () =
   Secdb_storage.Pager.write pager pointer_page (be8 dir_id);
   Secdb_storage.Pager.close pager
 
-let load ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profile ~path () =
+let load ?(seed = 3L) ?(order = 4) ?vfs ~master ~profile ~path () =
   let ( let* ) = Result.bind in
-  let* pager = Secdb_storage.Pager.open_file ~path ~cache_pages ?vfs () in
+  let* pager = Secdb_storage.Pager.open_file ~path ?vfs () in
   (* every path, error or exception, releases the file *)
   Fun.protect ~finally:(fun () -> Secdb_storage.Pager.close pager) @@ fun () ->
   let blobs = Secdb_storage.Blob_store.attach pager in

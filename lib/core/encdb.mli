@@ -176,13 +176,13 @@ val delete_row : t -> table:string -> row:int -> (unit, string) result
 val save : t -> path:string -> ?page_size:int -> ?vfs:Secdb_storage.Vfs.t -> unit -> unit
 (** Write the whole database to a fresh pager image at [path] (truncating
     any existing file), through [vfs] (default {!Secdb_storage.Vfs.unix}).
-    The file is flushed, synced and closed before [save] returns; the
-    write is not atomic (the pager is not journalled). *)
+    Each page is written once, straight through; the file is synced and
+    closed before [save] returns.  The write is not atomic (the pager is
+    not journalled). *)
 
 val load :
   ?seed:int64 ->
   ?order:int ->
-  ?cache_pages:int ->
   ?vfs:Secdb_storage.Vfs.t ->
   master:string ->
   profile:profile ->

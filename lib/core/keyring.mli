@@ -26,8 +26,7 @@ val open_session_bytes : master:bytes -> t
 val close_session : t -> unit
 (** Overwrite the master key material with zero bytes and drop it; any
     later use raises {!Session_closed}.  Models the "securely removed at
-    the end of the session" step (same zeroize-on-free policy as the
-    pager's {!Secdb_storage.Pager.free}).  Idempotent. *)
+    the end of the session" step.  Idempotent. *)
 
 val is_open : t -> bool
 

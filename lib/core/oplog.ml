@@ -131,18 +131,14 @@ let verify_sealed ~aead ~seq sealed =
 
 (* --- writer ------------------------------------------------------------- *)
 
-type sync_policy = Always | Every_n of int | Never
-
 type writer = {
   vf : Vfs.file;
   aead : Aead.t;
   nonce : Secdb_aead.Nonce.t;
-  policy : sync_policy;
   mutable seq : int;
   mutable pos : int; (* next record's byte offset *)
   mutable offs : int array; (* offs.(i) = byte offset of record i, for i < seq *)
   mutable durable : int; (* records covered by the last fsync *)
-  mutable unsynced : int; (* appends not yet covered by an fsync *)
   mutable open_ : bool;
 }
 
@@ -194,24 +190,8 @@ let parse ~aead data =
   let ops, tail, _, _ = parse_ext ~aead data in
   (ops, tail)
 
-let create ?(vfs = Vfs.unix) ?(sync = Always) ?(mode = `Trunc) ~path ~aead ~nonce () =
-  (match sync with
-  | Every_n n when n < 1 -> invalid_arg "Oplog.create: Every_n needs n >= 1"
-  | _ -> ());
-  let fresh vf =
-    {
-      vf;
-      aead;
-      nonce;
-      policy = sync;
-      seq = 0;
-      pos = 0;
-      offs = [||];
-      durable = 0;
-      unsynced = 0;
-      open_ = true;
-    }
-  in
+let create ?(vfs = Vfs.unix) ?(mode = `Trunc) ~path ~aead ~nonce () =
+  let fresh vf = { vf; aead; nonce; seq = 0; pos = 0; offs = [||]; durable = 0; open_ = true } in
   match mode with
   | `Trunc -> fresh (vfs.Vfs.open_file ~path ~mode:`Trunc)
   | `Resume -> (
@@ -239,13 +219,12 @@ let create ?(vfs = Vfs.unix) ?(sync = Always) ?(mode = `Trunc) ~path ~aead ~nonc
 
 let do_sync w =
   w.vf.Vfs.fsync ();
-  w.unsynced <- 0;
   w.durable <- w.seq;
   Metrics.incr m_syncs
 
 let sync w =
   if not w.open_ then invalid_arg "Oplog.sync: writer is closed";
-  if w.unsynced > 0 then do_sync w
+  if w.durable < w.seq then do_sync w
 
 let seal w op =
   let seq = w.seq in
@@ -269,11 +248,9 @@ let write_record w full =
   w.offs.(w.seq) <- start;
   w.pos <- start + String.length full;
   w.seq <- w.seq + 1;
-  w.unsynced <- w.unsynced + 1;
-  match w.policy with
-  | Always -> do_sync w
-  | Every_n n -> if w.unsynced >= n then do_sync w
-  | Never -> ()
+  (* a failed fsync propagates with the record written but not durable:
+     [durable < count] until a later sync succeeds *)
+  do_sync w
 
 let append w op =
   if not w.open_ then invalid_arg "Oplog.append: writer is closed";

@@ -9,8 +9,8 @@
 
     Durability is explicit: every byte goes through a {!Secdb_storage.Vfs}
     backend, each record carries a CRC-32 trailer
-    ([len:4][record][crc:4]), and a {!sync_policy} decides when appends
-    are fsynced.  After a crash, {!recover} authenticates the longest
+    ([len:4][record][crc:4]), and every append is fsynced before it
+    returns.  After a crash, {!recover} authenticates the longest
     valid prefix and says {e why} the tail ends ({!tail}) instead of
     rejecting the whole log; {!replay} remains the strict all-or-nothing
     verifier for adversarial settings.
@@ -35,23 +35,17 @@ val op_table : op -> string
 
 (** {2 Writing} *)
 
-type sync_policy =
-  | Always  (** fsync after every append: an acked append survives any crash *)
-  | Every_n of int  (** fsync every [n] appends: bounded loss window *)
-  | Never  (** fsync only at {!sync}/{!close}: fastest, crash loses the tail *)
-
 type writer
 
 val create :
   ?vfs:Secdb_storage.Vfs.t ->
-  ?sync:sync_policy ->
   ?mode:[ `Trunc | `Resume ] ->
   path:string ->
   aead:Secdb_aead.Aead.t ->
   nonce:Secdb_aead.Nonce.t ->
   unit ->
   writer
-(** Open a log for appending.  [sync] defaults to [Always].
+(** Open a log for appending.
 
     [mode] defaults to [`Trunc]: truncate and start at sequence 0.
     [`Resume] re-opens an existing log (creating it when missing), parses
@@ -66,11 +60,13 @@ val create :
     random per-boot prefix plus a counter), not a counter restarted at 0. *)
 
 val append : writer -> op -> int
-(** Seal and append one operation; returns its sequence number.  Honors
-    the writer's {!sync_policy}.  On an I/O error
+(** Seal and append one operation, then fsync; returns its sequence
+    number.  An acked append survives any crash.  On an I/O error
     ({!Secdb_storage.Vfs.Io_error}) the log is truncated back to the last
     record boundary before the exception propagates, so a failed append
-    never leaves a torn record behind a live writer. *)
+    never leaves a torn record behind a live writer.  If only the fsync
+    fails, the record stays written but not durable
+    ([durable w < count w]) until a later {!sync} succeeds. *)
 
 val append_sealed : writer -> string -> (op, string) result
 (** Append one already-sealed record, verbatim.  The record is verified
@@ -91,7 +87,7 @@ val sync : writer -> unit
 (** Fsync now; after it returns, every acked append survives a crash. *)
 
 val count : writer -> int
-(** Appended records, including any not yet fsynced. *)
+(** Appended records, including any whose fsync failed. *)
 
 val durable : writer -> int
 (** Records covered by the last fsync — the only ones {!read_sealed}

@@ -131,29 +131,32 @@ end
 
 (* --- dispatch ---------------------------------------------------------------- *)
 
-let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
-  try
-    match req with
-    | Wire.Ping payload -> Ok (Wire.Pong payload)
-    | Wire.Stats fmt ->
-        let snap = Metrics.snapshot () in
-        Ok
-          (Wire.Stats_dump
-             (match fmt with `Text -> Metrics.to_text snap | `Json -> Metrics.to_json snap))
-    | Wire.Sql stmt -> (
-        match Secdb_sql.Engine.exec db stmt with
-        | Ok o -> Ok (Wire.Outcome o)
-        | Error e -> Error (Wire.App, e))
-    (* replication requests need the serving layer's role and shard map;
-       the single-db reference dispatch has neither *)
-    | Wire.Repl_pull _ -> Error (Wire.App, "replication pull needs a serving primary")
-    | Wire.Repl_root -> Error (Wire.App, "attestation needs a serving node")
-  with
+(* the one exception -> error-code mapping, shared by the in-process
+   dispatch and the shard executors, so both answer byte-identically *)
+let guard f : (Wire.resp, Wire.err_code * string) result =
+  try f () with
   | Not_found -> Error (Wire.App, "no such table, column or index")
   | Invalid_argument e -> Error (Wire.App, e)
   | Failure e -> Error (Wire.App, e)
   | Secdb.Keyring.Session_closed -> Error (Wire.App, "session closed")
   | e -> Error (Wire.Server_error, Printexc.to_string e)
+
+let outcome = function Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e)
+
+let dispatch db (req : Wire.req) =
+  guard @@ fun () ->
+  match req with
+  | Wire.Ping payload -> Ok (Wire.Pong payload)
+  | Wire.Stats fmt ->
+      let snap = Metrics.snapshot () in
+      Ok
+        (Wire.Stats_dump
+           (match fmt with `Text -> Metrics.to_text snap | `Json -> Metrics.to_json snap))
+  | Wire.Sql src -> outcome (Engine.exec db src)
+  (* replication requests need the serving layer's role and shard map;
+     the single-db reference dispatch has neither *)
+  | Wire.Repl_pull _ -> Error (Wire.App, "replication pull needs a serving primary")
+  | Wire.Repl_root -> Error (Wire.App, "attestation needs a serving node")
 
 (* --- shards -------------------------------------------------------------------
 
@@ -232,8 +235,11 @@ let submit_job ?(on_changes = fun (_ : Secdb.Encdb.change list) -> ()) sh f =
   end
   else Error `Draining
 
-let submit ?on_changes sh req =
-  match submit_job ?on_changes sh (fun () -> dispatch sh.sdb req) with
+(* execute an already-parsed statement on the shard's executor *)
+let submit ?on_changes sh stmt =
+  match
+    submit_job ?on_changes sh (fun () -> guard (fun () -> outcome (Engine.exec_stmt sh.sdb stmt)))
+  with
   | Ok r -> r
   | Error `Draining -> Error (Wire.Server_error, "server draining")
 
@@ -383,7 +389,7 @@ let read_only_reject = Error (Wire.App, "read-only replica: mutations go to the 
    shard. *)
 let exec_routed t (req : Wire.req) =
   let shard_of table = Shard.get t.shards (Shard.key_shard t.shards table) in
-  let submit sh req = submit ~on_changes:(log_changes t) sh req in
+  let submit sh stmt = submit ~on_changes:(log_changes t) sh stmt in
   match req with
   | Wire.Ping _ | Wire.Stats _ -> dispatch (Shard.get t.shards 0).sdb req
   | Wire.Repl_pull { ack; max } -> (
@@ -442,10 +448,10 @@ let exec_routed t (req : Wire.req) =
               match Engine.exec_snapshot (Atomic.get sh.snap) stmt with
               | Some r ->
                   Metrics.incr t.m.m_snap_hits;
-                  (match r with Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e))
+                  outcome r
               | None ->
                   (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
-                  submit sh req)))
+                  submit sh stmt)))
 
 (* The replica's single write path: apply one pulled (already verified)
    op on the shard executor it routes to, exactly as the primary's own

@@ -1,7 +1,6 @@
 module Value = Secdb_db.Value
 module Schema = Secdb_db.Schema
 module Etable = Secdb_query.Encrypted_table
-module Walker = Secdb_query.Walker
 module Encdb = Secdb.Encdb
 module Metrics = Secdb_obs.Metrics
 module Obs = Secdb_obs.Obs
@@ -312,11 +311,11 @@ let canonical rows = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows
 
 let readers tbl ids = List.map (fun id -> (id, Etable.reader tbl id)) (List.sort Int.compare ids)
 
-let access_rows db ~mode ~table access =
+let access_rows db ~table access =
   let tbl = Encdb.table db table in
   match access with
   | Plan.Index_probe { col; lo; hi; _ } ->
-      Result.map (readers tbl) (Encdb.index_rows db ~table ~col ~mode ?lo ?hi ())
+      Result.map (readers tbl) (Encdb.index_rows db ~table ~col ?lo ?hi ())
   | Plan.Bucket_scan { col; lo; hi; _ } ->
       Result.map (readers tbl) (Encdb.bucket_rows db ~table ~col ?lo ?hi ())
   | Plan.Seq_scan -> Ok (Etable.scan tbl)
@@ -324,19 +323,19 @@ let access_rows db ~mode ~table access =
 (* inner equi-join.  Output rows are keyed (left row, right row) and the
    cells are left table's then right table's, whatever side the plan made
    the outer; Null join keys match nothing on either side. *)
-let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped =
+let join_rows db ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped =
   let itbl = Encdb.table db inner in
   let* oi = col_index_res (Etable.schema (Encdb.table db outer)) outer_col in
   let* ii = col_index_res (Etable.schema itbl) inner_col in
   let combine (orow, o) (irow, i) =
     if swapped then ((irow, orow), Etable.append i o) else ((orow, irow), Etable.append o i)
   in
-  let* outer_rows = access_rows db ~mode ~table:outer outer_access in
+  let* outer_rows = access_rows db ~table:outer outer_access in
   let* pairs =
     match strategy with
     | Plan.Loop_join ->
         (* materialize the inner once, hash it on the join key *)
-        let* inner_rows = access_rows db ~mode ~table:inner Plan.Seq_scan in
+        let* inner_rows = access_rows db ~table:inner Plan.Seq_scan in
         let buckets = Hashtbl.create 64 in
         List.iter
           (fun ((_, ir) as irow) ->
@@ -381,7 +380,7 @@ let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_c
             let k = Etable.cell o oi in
             if k = Value.Null then Ok acc
             else
-              let* ids = Encdb.index_rows db ~table:inner ~col:inner_col ~mode ~lo:k ~hi:k () in
+              let* ids = Encdb.index_rows db ~table:inner ~col:inner_col ~lo:k ~hi:k () in
               let matches =
                 List.filter
                   (fun (_, ir) -> compare_values Ast.Eq (Etable.cell ir ii) k)
@@ -438,39 +437,39 @@ let finish_select schema (s : Ast.select) candidates =
    {!Etable.cell}'s one error text, whichever plan read it *)
 let reading f = try f () with Failure e -> Error e
 
-(* per-plan latency histograms feed the cost model's feedback input; only
-   touched while obs is on so obs-off processes keep an empty registry *)
+(* per-plan latency histograms, for observability; only touched while obs
+   is on so obs-off processes keep an empty registry *)
 let timed plan f =
   if Obs.on () then
     Metrics.time (Metrics.histogram ~labels:[ ("plan", Plan.name plan) ] "sql.plan_latency") f
   else f ()
 
-let exec_resolved db ~mode (r : resolved) plan =
+let exec_resolved db (r : resolved) plan =
   timed plan (fun () ->
       reading (fun () ->
           match (plan, r.join) with
           | Plan.Scan { table; access; _ }, None ->
-              let* rows = access_rows db ~mode ~table access in
+              let* rows = access_rows db ~table access in
               finish_select r.schema r.rs rows
           | ( Plan.Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped; _ },
               Some _ ) ->
               let* rows =
-                join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col
+                join_rows db ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col
                   ~swapped
               in
               finish_select r.schema r.rs rows
           | _ -> Error "plan does not match the query's shape"))
 
-let run_select db ~mode (s : Ast.select) =
+let run_select db (s : Ast.select) =
   let* r = resolve db s in
   let plan = Planner.choose db r.rs ~join:r.join in
-  exec_resolved db ~mode r plan
+  exec_resolved db r plan
 
 (* execute under a caller-chosen plan (bench and oracle tests force every
    candidate and compare bytes) *)
-let exec_plan db ?(mode = Walker.Corrected) (s : Ast.select) plan =
+let exec_plan db (s : Ast.select) plan =
   let* r = resolve db s in
-  exec_resolved db ~mode r plan
+  exec_resolved db r plan
 
 (* --- snapshot fast path ---------------------------------------------------
 
@@ -536,7 +535,7 @@ let exec_snapshot snap stmt =
   | _ -> None
 
 (* rows matching a WHERE clause, for UPDATE/DELETE *)
-let matching_rows db ~mode ~table where =
+let matching_rows db ~table where =
   let s =
     {
       Ast.items = None;
@@ -551,7 +550,7 @@ let matching_rows db ~mode ~table where =
   let* r = resolve db s in
   let* candidates =
     match Planner.choose db r.rs ~join:None with
-    | Plan.Scan { table = t; access; _ } -> access_rows db ~mode ~table:t access
+    | Plan.Scan { table = t; access; _ } -> access_rows db ~table:t access
     | Plan.Join _ -> assert false
   in
   match r.rs.Ast.where with
@@ -565,14 +564,14 @@ let matching_rows db ~mode ~table where =
         (Ok []) candidates
       |> Result.map List.rev
 
-let exec_stmt db ?(mode = Walker.Corrected) stmt =
+let exec_stmt db stmt =
   let protect f =
     try f () with
     | Invalid_argument e | Failure e -> Error e
     | Not_found -> Error "no such table or column"
   in
   match stmt with
-  | Ast.Select s -> protect (fun () -> run_select db ~mode s)
+  | Ast.Select s -> protect (fun () -> run_select db s)
   | Ast.Explain s ->
       protect (fun () -> Ok (Plan (Fmt.str "%a" Plan.pp (plan_of_select db s))))
   | Ast.Insert { table; values } ->
@@ -581,7 +580,7 @@ let exec_stmt db ?(mode = Walker.Corrected) stmt =
           Ok (Affected 1))
   | Ast.Update { table; col; value; where } ->
       protect (fun () ->
-          let* rows = matching_rows db ~mode ~table where in
+          let* rows = matching_rows db ~table where in
           let* () =
             List.fold_left
               (fun acc row ->
@@ -592,7 +591,7 @@ let exec_stmt db ?(mode = Walker.Corrected) stmt =
           Ok (Affected (List.length rows)))
   | Ast.Delete { table; where } ->
       protect (fun () ->
-          let* rows = matching_rows db ~mode ~table where in
+          let* rows = matching_rows db ~table where in
           let* () =
             List.fold_left
               (fun acc row ->
@@ -620,16 +619,16 @@ let exec_stmt db ?(mode = Walker.Corrected) stmt =
           Encdb.create_range_index db ~table ~col ?buckets ();
           Ok Created)
 
-let exec db ?mode input =
+let exec db input =
   let* stmt = Parser.parse input in
-  exec_stmt db ?mode stmt
+  exec_stmt db stmt
 
-let exec_script db ?mode input =
+let exec_script db input =
   let* stmts = Parser.parse_many input in
   List.fold_left
     (fun acc stmt ->
       let* acc = acc in
-      let* outcome = exec_stmt db ?mode stmt in
+      let* outcome = exec_stmt db stmt in
       Ok ((stmt, outcome) :: acc))
     (Ok []) stmts
   |> Result.map List.rev

@@ -4,8 +4,7 @@
     database can serve for a SELECT — full decrypt-scan, exact encrypted
     B⁺-tree probes, bucketized range scans, and for joins both nesting
     orders crossed with both loop strategies — prices each with {!Cost}
-    (live {!Secdb_obs.Metrics} inputs when obs is on, static fallbacks
-    otherwise) and executes the cheapest.  Every candidate hands its rows
+    and executes the cheapest.  Every candidate hands its rows
     over in ascending row order and shares one filter / ORDER BY / LIMIT
     / projection tail, so all plans of a query are byte-identical — the
     plan choice costs latency, never correctness (the perf bench's
@@ -37,15 +36,11 @@ val candidate_plans : Secdb.Encdb.t -> Ast.select -> Plan.t list
     {!Plan.compare}'s deterministic tie-break; never empty.  Each element
     can be handed to {!exec_plan} and must return the same bytes. *)
 
-val exec_stmt :
-  Secdb.Encdb.t -> ?mode:Secdb_query.Walker.mode -> Ast.stmt -> (outcome, string) result
+val exec_stmt : Secdb.Encdb.t -> Ast.stmt -> (outcome, string) result
+(** Execute one parsed statement.  Exact-index probes walk the tree
+    under {!Secdb_query.Walker.Corrected}. *)
 
-val exec_plan :
-  Secdb.Encdb.t ->
-  ?mode:Secdb_query.Walker.mode ->
-  Ast.select ->
-  Plan.t ->
-  (outcome, string) result
+val exec_plan : Secdb.Encdb.t -> Ast.select -> Plan.t -> (outcome, string) result
 (** Execute a SELECT under a caller-chosen plan instead of the planner's
     pick — the bench and the oracle tests force every candidate and
     compare bytes. *)
@@ -62,16 +57,10 @@ val exec_snapshot : Snapshot.t -> Ast.stmt -> (outcome, string) result option
     fall back to the locked executor.  The refusal is structured ([None],
     never an exception). *)
 
-val exec :
-  Secdb.Encdb.t -> ?mode:Secdb_query.Walker.mode -> string -> (outcome, string) result
-(** Parse and execute one statement.  [mode] selects the index walker's
-    integrity behaviour (default [Corrected]). *)
+val exec : Secdb.Encdb.t -> string -> (outcome, string) result
+(** Parse and execute one statement. *)
 
-val exec_script :
-  Secdb.Encdb.t ->
-  ?mode:Secdb_query.Walker.mode ->
-  string ->
-  ((Ast.stmt * outcome) list, string) result
+val exec_script : Secdb.Encdb.t -> string -> ((Ast.stmt * outcome) list, string) result
 (** Execute a [;]-separated script, stopping at the first error. *)
 
 val pp_result : Format.formatter -> outcome -> unit

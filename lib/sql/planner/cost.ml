@@ -1,6 +1,3 @@
-module Metrics = Secdb_obs.Metrics
-module Obs = Secdb_obs.Obs
-
 (* The unit of cost is one cell decrypt.  Everything else is priced
    relative to that: decoding a B+-tree node touches a handful of sealed
    entries, and unsealing one bucket entry is about one cell.  The
@@ -13,43 +10,14 @@ let c_node = 2.0
 let c_bucket_entry = 1.0
 let c_hash_probe = 0.1
 
-type inputs = {
-  probe_feedback : float;
-      (** observed exact-probe vs bucket-scan latency ratio from the
-          [sql.plan_latency] histograms, clamped to [0.5, 2.0]; multiplies
-          the exact probe's node costs.  1.0 = neutral / no data. *)
-}
-
-let static_inputs = { probe_feedback = 1.0 }
-
-let clamp lo hi v = Float.max lo (Float.min hi v)
-
-(* mean observed seconds per query of one plan kind, when enough samples
-   accumulated to mean anything *)
-let plan_mean kind =
-  let v = Metrics.hist_view (Metrics.histogram ~labels:[ ("plan", kind) ] "sql.plan_latency") in
-  if v.Metrics.count >= 16 then Some (v.Metrics.sum_seconds /. float_of_int v.Metrics.count)
-  else None
-
-let live () =
-  if not (Obs.on ()) then static_inputs
-  else
-    {
-      probe_feedback =
-        (match (plan_mean "index", plan_mean "bucket") with
-        | Some i, Some b when b > 0. -> clamp 0.5 2.0 (i /. b)
-        | _ -> 1.0);
-    }
-
 (* --- access paths --------------------------------------------------------- *)
 
 let depth rows = Float.log2 (float_of_int (max 2 rows))
 
 let seq_scan ~rows ~ncols = float_of_int rows *. float_of_int ncols *. c_cell
 
-let index_probe inputs ~rows ~ncols ~estimate =
-  let node = c_node *. inputs.probe_feedback in
-  (depth rows *. node) +. (estimate *. float_of_int rows *. float_of_int ncols *. c_cell)
+let index_probe ~rows ~ncols ~estimate =
+  (depth rows *. c_node) +. (estimate *. float_of_int rows *. float_of_int ncols *. c_cell)
 
 let bucket_scan ~rows ~ncols ~estimate ~buckets =
   (* overlap is bucket-granular: even a pinpoint range unseals at least
@@ -65,12 +33,12 @@ let bucket_scan ~rows ~ncols ~estimate ~buckets =
 let loop_join ~outer_cost ~outer_out ~inner_rows ~inner_ncols =
   outer_cost +. seq_scan ~rows:inner_rows ~ncols:inner_ncols +. (c_hash_probe *. outer_out)
 
-let index_loop_join inputs ~outer_cost ~outer_out ~inner_rows ~inner_ncols =
+let index_loop_join ~outer_cost ~outer_out ~inner_rows ~inner_ncols =
   (* per-probe matches: assume mild duplication rather than uniqueness so
      skew does not make the index loop look free *)
   let matches = Float.max 1.0 (0.01 *. float_of_int inner_rows) in
   let probe =
-    index_probe inputs ~rows:inner_rows ~ncols:inner_ncols ~estimate:0.0
+    index_probe ~rows:inner_rows ~ncols:inner_ncols ~estimate:0.0
     +. (matches *. float_of_int inner_ncols *. c_cell)
   in
   outer_cost +. (outer_out *. probe)

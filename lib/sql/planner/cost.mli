@@ -1,28 +1,13 @@
 (** Cost model: price a candidate access path in cell-decrypt units.
 
-    Inputs come from the live {!Secdb_obs.Metrics} registry when the obs
-    switch is on — the per-plan latency histograms the engine maintains —
-    with a static fallback (no feedback) when it is off, so EXPLAIN output
-    under cram is deterministic. *)
-
-type inputs = {
-  probe_feedback : float;
-      (** observed exact-probe vs bucket-scan mean-latency ratio
-          ([sql.plan_latency{plan=index}] / [{plan=bucket}]), clamped to
-          [0.5, 2.0]; 1.0 when either histogram has under 16 samples. *)
-}
-
-val static_inputs : inputs
-(** No feedback — the obs-off fallback. *)
-
-val live : unit -> inputs
-(** Read the registry when {!Secdb_obs.Obs.on}, else {!static_inputs}. *)
+    The price is a pure function of the plan shape and the table
+    cardinalities, so the planner chooses the same plan whether or not
+    observability is on, and EXPLAIN output is deterministic. *)
 
 val seq_scan : rows:int -> ncols:int -> float
 
-val index_probe : inputs -> rows:int -> ncols:int -> estimate:float -> float
-(** Tree descent (scaled by the probe feedback) plus fetching the
-    estimated matching rows. *)
+val index_probe : rows:int -> ncols:int -> estimate:float -> float
+(** Tree descent plus fetching the estimated matching rows. *)
 
 val bucket_scan : rows:int -> ncols:int -> estimate:float -> buckets:int -> float
 (** Unsealing the covered buckets (at least one — overlap is
@@ -33,7 +18,6 @@ val loop_join :
 (** Materialize the inner once, hash-probe per outer row. *)
 
 val index_loop_join :
-  inputs ->
   outer_cost:float ->
   outer_out:float ->
   inner_rows:int ->

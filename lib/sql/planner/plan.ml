@@ -60,9 +60,9 @@ let rank = function
 let compare a b = Stdlib.compare (rank a) (rank b)
 
 (* short labels for bench qualifiers and latency histograms.  Scan labels
-   name only the access kind, because the cost model reads the per-kind
-   histograms; join labels also carry the outer access path and its
-   column, so that no two candidates of one join share a histogram. *)
+   name only the access kind; join labels also carry the outer access
+   path and its column, so that no two candidates of one join share a
+   histogram. *)
 let name = function
   | Scan { access = Seq_scan; _ } -> "seq"
   | Scan { access = Index_probe _; _ } -> "index"
@@ -92,8 +92,7 @@ let pp_access ppf = function
         col (pp_bound "-inf") lo (pp_bound "+inf") hi buckets estimate
 
 (* EXPLAIN text.  Costs are printed rounded to whole cost units so the
-   cram pins stay stable across float noise; with obs off the inputs are
-   the static fallbacks and the output is fully deterministic. *)
+   cram pins stay stable across float noise. *)
 let pp ppf = function
   | Scan { table = _; access; cost } -> Fmt.pf ppf "%a; cost ~%.0f" pp_access access cost
   | Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped = _; cost } -> (

@@ -51,8 +51,7 @@ val compare : t -> t -> int
 
 val name : t -> string
 (** Short stable label — bench qualifiers and the per-plan latency
-    histograms.  Scans are "seq", "index" or "bucket" (the cost model
-    reads those histograms).  Joins are "loop-join" or "index-loop-join",
+    histograms.  Scans are "seq", "index" or "bucket".  Joins are "loop-join" or "index-loop-join",
     plus "-rev" when swapped, then "@" and the outer access path: "seq",
     "index:COL" or "bucket:COL", e.g. ["index-loop-join@bucket:total"].
     Join labels are distinct across the candidates of one query. *)

@@ -3,7 +3,6 @@ module Metrics = Secdb_obs.Metrics
 
 let m_stores = Metrics.counter "blob.stores"
 let m_loads = Metrics.counter "blob.loads"
-let m_deletes = Metrics.counter "blob.deletes"
 let m_pages_read = Metrics.counter "blob.pages_read"
 let m_pages_written = Metrics.counter "blob.pages_written"
 let m_bytes_stored = Metrics.counter "blob.bytes_stored"
@@ -62,34 +61,21 @@ let chunks t data =
   let cap = payload_capacity t in
   if data = "" then [ "" ] else Xbytes.blocks cap data
 
-(* write [chunks] into [pages] (allocating or freeing to match), return head *)
-let write_chain t pages chunks =
-  (* pair each chunk with a page, reusing the old chain, allocating extra
-     pages or freeing surplus ones as needed *)
-  let rec assign pages chunks acc =
-    match (pages, chunks) with
-    | ps, [] ->
-        List.iter (fun p -> Pager.free t.pager p) ps;
-        List.rev acc
-    | [], c :: cs -> assign [] cs ((Pager.alloc t.pager, c) :: acc)
-    | p :: ps, c :: cs -> assign ps cs ((p, c) :: acc)
-  in
-  let assigned = assign pages chunks [] in
-  let rec link = function
-    | [] -> ()
-    | [ (page, chunk) ] -> Pager.write t.pager page (encode_page ~next:0 ~chunk)
-    | (page, chunk) :: ((next_page, _) :: _ as rest) ->
-        Pager.write t.pager page (encode_page ~next:next_page ~chunk);
-        link rest
-  in
-  link assigned;
-  Metrics.add m_pages_written (List.length assigned);
-  match assigned with (head, _) :: _ -> head | [] -> invalid_arg "blob: empty chain"
+(* allocate one page per chunk and link each to the next; [chunks] is
+   never empty, so the head exists *)
+let write_chain t chunks =
+  let pages = List.map (fun _ -> Pager.alloc t.pager) chunks in
+  List.iter2
+    (fun (page, next) chunk -> Pager.write t.pager page (encode_page ~next ~chunk))
+    (List.combine pages (List.tl pages @ [ 0 ]))
+    chunks;
+  Metrics.add m_pages_written (List.length pages);
+  List.hd pages
 
 let store t data =
   Metrics.incr m_stores;
   Metrics.add m_bytes_stored (String.length data);
-  write_chain t [] (chunks t data)
+  write_chain t (chunks t data)
 
 let pages_of t id =
   Result.map List.rev (fold_chain t id ~init:[] ~f:(fun acc page _ -> page :: acc))
@@ -103,19 +89,3 @@ let load t id =
   in
   (match r with Ok data -> Metrics.add m_bytes_loaded (String.length data) | Error _ -> ());
   r
-
-let overwrite t id data =
-  match pages_of t id with
-  | Error e -> invalid_arg ("Blob_store.overwrite: " ^ chain_error_to_string e)
-  | Ok pages ->
-      let head = write_chain t pages (chunks t data) in
-      if head <> id then
-        (* can only happen if the old chain was empty, which store prevents *)
-        invalid_arg "Blob_store.overwrite: head changed";
-      id
-
-let delete t id =
-  Metrics.incr m_deletes;
-  match pages_of t id with
-  | Error e -> invalid_arg ("Blob_store.delete: " ^ chain_error_to_string e)
-  | Ok pages -> List.iter (fun p -> Pager.free t.pager p) pages

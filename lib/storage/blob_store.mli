@@ -23,17 +23,11 @@ val attach : Pager.t -> t
     pager coexist. *)
 
 val store : t -> string -> int
-(** Write a blob; returns its id. *)
+(** Write a blob onto freshly appended pages; returns its id.  A stored
+    blob is never rewritten or freed. *)
 
 val load : t -> int -> (string, chain_error) result
 (** Read a blob back; [Error] on a malformed chain. *)
-
-val overwrite : t -> int -> string -> int
-(** Replace blob [id] with new contents, reusing its chain where possible;
-    returns the (unchanged) id. *)
-
-val delete : t -> int -> unit
-(** Free the blob's pages. *)
 
 val pages_of : t -> int -> (int list, chain_error) result
 (** The page chain of a blob (for trace experiments and {!Fsck}). *)

@@ -316,8 +316,8 @@ let read_image path = In_channel.with_open_bin path In_channel.input_all
 let write_image path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-let reload ?cache_pages ~master ~profile path =
-  match Encdb.load ?cache_pages ~master ~profile ~path ~seed:41L () with
+let reload ~master ~profile path =
+  match Encdb.load ~master ~profile ~path ~seed:41L () with
   | Ok db -> db
   | Error e -> Alcotest.fail e
 
@@ -382,9 +382,9 @@ let test_paged_duplicate_order () =
       Alcotest.(check (list int)) (Printf.sprintf "key %Ld after reload" v) (rows db v) (rows db' v))
     [ 0L; 1L; 2L; 3L ]
 
-let test_paged_image_beyond_cache () =
-  (* small pages and a two-page cache: the image spans many pages and every
-     lookup still answers exactly *)
+let test_paged_many_page_image () =
+  (* small pages: the image spans many pages and every lookup still
+     answers exactly *)
   let profile = Encdb.Fixed Encdb.Ocb in
   let path = tmpfile "paged_large" in
   let db = Encdb.create ~master:"large" ~profile () in
@@ -399,7 +399,7 @@ let test_paged_image_beyond_cache () =
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check bool) "image spans many pages" true (pages > 100);
-  let db' = reload ~cache_pages:2 ~master:"large" ~profile path in
+  let db' = reload ~master:"large" ~profile path in
   Alcotest.(check int) "live rows" 150 (Encdb.live_rows db' ~table:"accounts");
   let balances =
     match Etable.select_result (Encdb.table db "accounts") (fun _ -> true) with
@@ -485,6 +485,38 @@ let test_paged_save_crash_matrix () =
   let db' = reload ~master:"crash" ~profile path in
   Alcotest.(check string) "uncrashed save reloads" digest (Encdb.digest db')
 
+(* The image format is pinned byte for byte: a fixed-seed database saves to
+   exactly these bytes, so any change to how pages are laid out, linked or
+   padded shows up here rather than as an unreadable file in the field.
+   The save writes every page once, plus the header at create and at
+   close, and reads nothing back. *)
+let pinned_image_sha256 =
+  "f6d029f897f674f0a1f05f4ae5357422efe3e2dbc89e378138909f581163410d"
+
+let test_paged_image_pinned () =
+  let module Metrics = Secdb_obs.Metrics in
+  let profile = Encdb.Fixed Encdb.Gcm in
+  let path = tmpfile "paged_pinned" in
+  let image () =
+    let db = Encdb.create ~seed:5L ~master:"pinned" ~profile () in
+    populate db 60;
+    Encdb.save db ~path ~page_size:256 ();
+    read_image path
+  in
+  let reads = Metrics.counter "pager.disk_reads" and writes = Metrics.counter "pager.disk_writes" in
+  let a, (nreads, nwrites) =
+    Secdb_obs.Obs.with_enabled (fun () ->
+        let r0 = Metrics.value reads and w0 = Metrics.value writes in
+        let a = image () in
+        (a, (Metrics.value reads - r0, Metrics.value writes - w0)))
+  in
+  Alcotest.(check string) "two saves are byte-identical" a (image ());
+  Alcotest.(check string) "image matches the pinned format" pinned_image_sha256
+    (Secdb_hash.Sha256.hex a);
+  let pages = (String.length a / 256) - 1 in
+  Alcotest.(check int) "save reads no page" 0 nreads;
+  Alcotest.(check int) "save writes each page once, the header twice" (pages + 2) nwrites
+
 let prop_paged_roundtrip =
   QCheck2.Test.make ~name:"random workloads answer the same after save/load" ~count:15
     QCheck2.Gen.(list_size (int_range 1 60) (int_range (-400) 400))
@@ -535,10 +567,11 @@ let suites =
           Alcotest.test_case "paged save/load" `Quick test_paged_save_load;
           Alcotest.test_case "empty image" `Quick test_paged_empty_image;
           Alcotest.test_case "duplicate keys keep their order" `Quick test_paged_duplicate_order;
-          Alcotest.test_case "image beyond the page cache" `Quick test_paged_image_beyond_cache;
+          Alcotest.test_case "image spanning many pages" `Quick test_paged_many_page_image;
           Alcotest.test_case "swapped cells rejected" `Quick test_paged_swapped_cells;
           Alcotest.test_case "truncated image fails closed" `Quick test_paged_truncated_image;
           Alcotest.test_case "save crash matrix" `Quick test_paged_save_crash_matrix;
+          Alcotest.test_case "image bytes are pinned" `Quick test_paged_image_pinned;
           Test_seed.qc prop_paged_roundtrip;
         ] );
     ]

@@ -71,7 +71,8 @@ let test_suppression_attack_and_anchor () =
   (* the adversary tombstones row 7 in the stored image, editing structure
      only (no keys needed): follow the directory pointer on page 1 to the
      table's blob, reparse it with an identity scheme, tombstone the
-     victim row, re-serialise in place *)
+     victim row, append the re-serialised table as a fresh blob and
+     repoint the directory at it *)
   let pager =
     match Secdb_storage.Pager.open_file ~path () with Ok p -> p | Error e -> Alcotest.fail e
   in
@@ -85,9 +86,9 @@ let test_suppression_attack_and_anchor () =
   let dir_id =
     Secdb_util.Xbytes.be_string_to_int (String.sub (Secdb_storage.Pager.read pager 1) 0 8)
   in
-  let entries =
+  let dir_head, entries =
     match ok (Secdb_db.Codec.unframe (blob dir_id)) with
-    | _magic :: _section :: _profile :: entries -> entries
+    | magic :: section :: profile :: entries -> ([ magic; section; profile ], entries)
     | _ -> Alcotest.fail "malformed directory"
   in
   let table_id =
@@ -112,7 +113,18 @@ let test_suppression_attack_and_anchor () =
     Etable.delete_row t ~row:7;
     Secdb_storage.Storage.encode_table t
   in
-  ignore (Secdb_storage.Blob_store.overwrite blobs table_id tampered);
+  let be8 = Secdb_util.Xbytes.int_to_be_string ~width:8 in
+  let tampered_id = Secdb_storage.Blob_store.store blobs tampered in
+  let entries' =
+    List.map
+      (fun entry ->
+        match ok (Secdb_db.Codec.unframe entry) with
+        | [ "T"; "t"; col; _ ] -> Secdb_db.Codec.frame [ "T"; "t"; col; be8 tampered_id ]
+        | _ -> entry)
+      entries
+  in
+  let dir_id' = Secdb_storage.Blob_store.store blobs (Secdb_db.Codec.frame (dir_head @ entries')) in
+  Secdb_storage.Pager.write pager 1 (be8 dir_id');
   Secdb_storage.Pager.close pager;
   (* also drop the victim's index entries so the index stays consistent *)
   let db' =

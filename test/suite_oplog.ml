@@ -31,8 +31,8 @@ let sample_ops n =
          else if i mod 7 = 6 then [ base; Oplog.Delete { table = "t"; row = i - 2 } ]
          else [ base ]))
 
-let write_log ?sync ops =
-  let w = Oplog.create ?sync ~path:tmp ~aead ~nonce:(Secdb_aead.Nonce.counter ~size:16 ()) () in
+let write_log ops =
+  let w = Oplog.create ~path:tmp ~aead ~nonce:(Secdb_aead.Nonce.counter ~size:16 ()) () in
   List.iter (fun op -> ignore (Oplog.append w op)) ops;
   let n = Oplog.count w in
   Oplog.close w;
@@ -197,26 +197,16 @@ let test_recover_verdicts () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "recover invented a log"
 
-let test_sync_and_policies () =
+let test_every_append_is_durable () =
   let ops = sample_ops 5 in
-  (* Every_n and Never still produce byte-identical logs on a clean close *)
-  let n_always = write_log ~sync:Oplog.Always ops in
-  let d_always = In_channel.with_open_bin tmp In_channel.input_all in
-  let n_never = write_log ~sync:Oplog.Never ops in
-  let d_never = In_channel.with_open_bin tmp In_channel.input_all in
-  let n_every = write_log ~sync:(Oplog.Every_n 3) ops in
-  let d_every = In_channel.with_open_bin tmp In_channel.input_all in
-  Alcotest.(check int) "counts agree" n_always n_never;
-  Alcotest.(check int) "counts agree" n_always n_every;
-  Alcotest.(check bool) "bytes agree (never)" true (d_always = d_never);
-  Alcotest.(check bool) "bytes agree (every_n)" true (d_always = d_every);
-  (* explicit sync is idempotent and legal mid-stream *)
-  let w = Oplog.create ~sync:Oplog.Never ~path:tmp ~aead
-      ~nonce:(Secdb_aead.Nonce.counter ~size:16 ()) () in
+  let w = Oplog.create ~path:tmp ~aead ~nonce:(Secdb_aead.Nonce.counter ~size:16 ()) () in
   ignore (Oplog.append w (List.hd ops));
+  Alcotest.(check int) "acked append is durable" (Oplog.count w) (Oplog.durable w);
+  (* explicit sync is idempotent and legal mid-stream *)
   Oplog.sync w;
   Oplog.sync w;
   ignore (Oplog.append w (List.nth ops 1));
+  Alcotest.(check int) "second append is durable" 2 (Oplog.durable w);
   Oplog.close w;
   match Oplog.replay ~path:tmp ~aead () with
   | Ok l -> Alcotest.(check int) "both records" 2 (List.length l)
@@ -230,6 +220,6 @@ let suites =
           test_replay_rebuilds_identical_db;
         Alcotest.test_case "tamper matrix" `Quick test_tamper_matrix;
         Alcotest.test_case "recover verdicts" `Quick test_recover_verdicts;
-        Alcotest.test_case "sync policies" `Quick test_sync_and_policies;
+        Alcotest.test_case "every append is durable" `Quick test_every_append_is_durable;
       ] );
   ]

@@ -130,14 +130,20 @@ let test_ship_rejects_tamper_and_splice () =
   Oplog.close r
 
 let test_durable_only_ships () =
-  with_dir @@ fun dir ->
-  let w = Oplog.create ~sync:Oplog.Never ~path:(Filename.concat dir "p.log") ~aead ~nonce:(nonce ()) () in
-  List.iter (fun op -> ignore (Oplog.append w op)) (sample_ops 3);
-  Alcotest.(check int) "unsynced records do not ship" 0
-    (List.length (Oplog.read_sealed w ~from:0 ~max:1000));
+  (* a failed fsync leaves its record written but not durable *)
+  let ctl = Fault.make ~seed:3 () in
+  let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
+  let shipped () = List.map fst (Oplog.read_sealed w ~from:0 ~max:1000) in
+  let ops = sample_ops 2 in
+  ignore (Oplog.append w (List.hd ops));
+  Fault.fail_op ctl ~op:`Fsync ~after:1 ~err:`EIO;
+  (match Oplog.append w (List.nth ops 1) with
+  | _ -> Alcotest.fail "injected fsync failure did not surface"
+  | exception Vfs.Io_error _ -> ());
+  Alcotest.(check (pair int int)) "count and durable" (2, 1) (Oplog.count w, Oplog.durable w);
+  Alcotest.(check (list int)) "unsynced records do not ship" [ 0 ] (shipped ());
   Oplog.sync w;
-  Alcotest.(check int) "synced records ship" (Oplog.count w)
-    (List.length (Oplog.read_sealed w ~from:0 ~max:1000));
+  Alcotest.(check (list int)) "synced records ship" [ 0; 1 ] (shipped ());
   Oplog.close w
 
 let test_resume_continues_history () =
@@ -391,22 +397,18 @@ let is_string_prefix ~of_:s p =
    image, crashed).  The replica log is a verbatim copy, so "replica is
    an authenticated prefix of the primary" is literally a byte-prefix
    check on the two durable images. *)
-let primary_crash_run ~policy ~seed ~k ops =
+let primary_crash_run ~seed ~k ops =
   let ctl = Fault.make ~seed () in
   Fault.crash_after_writes ctl k;
   let rctl = Fault.make ~seed:(seed + 1) () in
   let r = Oplog.create ~vfs:(Fault.vfs rctl) ~path:"mem:r.log" ~aead ~nonce:(nonce ()) () in
   (try
-     let w =
-       Oplog.create ~vfs:(Fault.vfs ctl) ~sync:policy ~path:"mem:p.log" ~aead ~nonce:(nonce ()) ()
-     in
+     let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
      List.iter
        (fun op ->
          ignore (Oplog.append w op);
          ship_all w r)
        ops;
-     Oplog.sync w;
-     ship_all w r;
      Oplog.close w
    with Vfs.Crashed _ | Vfs.Io_error _ -> ());
   (try Oplog.close r with Vfs.Crashed _ | Vfs.Io_error _ -> ());
@@ -415,33 +417,30 @@ let primary_crash_run ~policy ~seed ~k ops =
 
 let test_crash_matrix_primary () =
   let ops = sample_ops 8 in
-  List.iter
-    (fun policy ->
-      let k = ref 1 and live = ref true in
-      while !live do
-        let pimg, rimg, crashed = primary_crash_run ~policy ~seed:(1100 + !k) ~k:!k ops in
-        if not crashed then live := false
-        else begin
-          if not (is_string_prefix ~of_:pimg rimg) then
-            Alcotest.failf "crash at write %d: replica is not a byte-prefix of the primary" !k;
-          (* the surviving primary image must itself recover, and a resumed
-             writer must seat exactly the recovered history *)
-          with_dir (fun dir ->
-              let path = Filename.concat dir "p.log" in
-              Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pimg);
-              match Oplog.recover ~path ~aead () with
-              | Error e -> Alcotest.failf "crash at write %d: recover: %s" !k e
-              | Ok (recovered, _) ->
-                  let rng = Rng.create ~seed:(Int64.of_int !k) () in
-                  let w = Oplog.create ~mode:`Resume ~path ~aead ~nonce:(Repl.log_nonce ~rng) () in
-                  Alcotest.(check int)
-                    (Printf.sprintf "crash at write %d: resume count" !k)
-                    (List.length recovered) (Oplog.count w);
-                  Oplog.close w)
-        end;
-        incr k
-      done)
-    [ Oplog.Always; Oplog.Every_n 3 ]
+  let k = ref 1 and live = ref true in
+  while !live do
+    let pimg, rimg, crashed = primary_crash_run ~seed:(1100 + !k) ~k:!k ops in
+    if not crashed then live := false
+    else begin
+      if not (is_string_prefix ~of_:pimg rimg) then
+        Alcotest.failf "crash at write %d: replica is not a byte-prefix of the primary" !k;
+      (* the surviving primary image must itself recover, and a resumed
+         writer must seat exactly the recovered history *)
+      with_dir (fun dir ->
+          let path = Filename.concat dir "p.log" in
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pimg);
+          match Oplog.recover ~path ~aead () with
+          | Error e -> Alcotest.failf "crash at write %d: recover: %s" !k e
+          | Ok (recovered, _) ->
+              let rng = Rng.create ~seed:(Int64.of_int !k) () in
+              let w = Oplog.create ~mode:`Resume ~path ~aead ~nonce:(Repl.log_nonce ~rng) () in
+              Alcotest.(check int)
+                (Printf.sprintf "crash at write %d: resume count" !k)
+                (List.length recovered) (Oplog.count w);
+              Oplog.close w)
+    end;
+    incr k
+  done
 
 let test_crash_matrix_replica () =
   with_dir @@ fun dir ->
@@ -499,11 +498,9 @@ let qc = Test_seed.qc
 let prop_replica_prefix =
   QCheck2.Test.make ~name:"replica is a byte-prefix of the primary under any fault schedule"
     ~count:60
-    QCheck2.Gen.(
-      quad (int_range 1 15) (int_range 1 90) (int_range 0 2) (int_range 0 1000))
-    (fun (nops, k, pol, seed) ->
-      let policy = [| Oplog.Always; Oplog.Every_n 2; Oplog.Never |].(pol) in
-      let pimg, rimg, _ = primary_crash_run ~policy ~seed ~k (sample_ops nops) in
+    QCheck2.Gen.(triple (int_range 1 15) (int_range 1 90) (int_range 0 1000))
+    (fun (nops, k, seed) ->
+      let pimg, rimg, _ = primary_crash_run ~seed ~k (sample_ops nops) in
       is_string_prefix ~of_:pimg rimg)
 
 let prop_restore_equiv =
